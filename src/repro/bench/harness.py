@@ -286,9 +286,7 @@ def oracle_sweep(
         return list(cached)
     model = PerformanceModel(graph, machine)
     weighted = graph.weighted_cost_flops()
-    topo_pos = {
-        idx: pos for pos, idx in enumerate(graph.topological_order())
-    }
+    topo_pos = graph.topological_positions
     # Rank operators by rate-weighted cost; operators of equal weight
     # (e.g. every stage of a balanced pipeline) are interleaved evenly
     # by topological position rather than taken as a contiguous prefix:

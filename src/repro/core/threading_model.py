@@ -365,7 +365,8 @@ class ThreadingModelElasticity:
         """Put ``subset`` at the front of group gi's order, count-aligned."""
         order = self._orders[gi]
         chosen = list(subset)
-        rest = [m for m in order if m not in set(subset)]
+        taken = set(subset)
+        rest = [m for m in order if m not in taken]
         self._orders[gi] = chosen + rest
         self._counts[gi] = len(chosen)
 

@@ -192,9 +192,11 @@ class StreamGraph:
     - a cached topological order,
     - the tuple spec describing payloads on its streams.
 
-    Instances are conceptually immutable; the only sanctioned mutation is
-    :meth:`replace_costs`, which returns a **new** graph (used for
-    workload phase changes).
+    Instances are immutable; :meth:`replace_costs` and
+    :meth:`with_tuple_spec` return a **new** graph (used for workload
+    phase changes).  Placement-independent invariants — sources, sinks,
+    arrival rates, per-operator edge multipliers and topological
+    positions — are therefore computed once, at construction.
     """
 
     def __init__(
@@ -220,6 +222,19 @@ class StreamGraph:
             self._predecessors[edge.dst].append(edge.src)
         self._topo_order: List[int] = self._compute_topo_order()
         self._validate_structure()
+        self._adjacency: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(self._successors[op.index]) for op in self._operators
+        )
+        self._sources = tuple(op for op in self._operators if op.is_source)
+        self._sinks = tuple(op for op in self._operators if op.is_sink)
+        self._multipliers: Tuple[float, ...] = tuple(
+            self._compute_multiplier(op) for op in self._operators
+        )
+        positions = [0] * len(self._operators)
+        for pos, idx in enumerate(self._topo_order):
+            positions[idx] = pos
+        self._topo_positions: Tuple[int, ...] = tuple(positions)
+        self._rates: Dict[int, float] = self._compute_arrival_rates()
 
     # ------------------------------------------------------------------
     # construction-time validation
@@ -313,7 +328,7 @@ class StreamGraph:
         raise KeyError(f"no operator named {name!r} in graph {self.name!r}")
 
     def successors(self, index: int) -> Tuple[int, ...]:
-        return tuple(self._successors[index])
+        return self._adjacency[index]
 
     def predecessors(self, index: int) -> Tuple[int, ...]:
         return tuple(self._predecessors[index])
@@ -322,12 +337,27 @@ class StreamGraph:
         return tuple(self._topo_order)
 
     @property
+    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """Successor tuples indexed by operator (``successors`` for all)."""
+        return self._adjacency
+
+    @property
+    def topological_positions(self) -> Tuple[int, ...]:
+        """Position of each operator in :meth:`topological_order`."""
+        return self._topo_positions
+
+    @property
+    def edge_rate_multipliers(self) -> Tuple[float, ...]:
+        """:meth:`edge_rate_multiplier` of every operator, by index."""
+        return self._multipliers
+
+    @property
     def sources(self) -> Tuple[Operator, ...]:
-        return tuple(op for op in self._operators if op.is_source)
+        return self._sources
 
     @property
     def sinks(self) -> Tuple[Operator, ...]:
-        return tuple(op for op in self._operators if op.is_sink)
+        return self._sinks
 
     def fan_out(self, index: int) -> int:
         return len(self._successors[index])
@@ -349,8 +379,10 @@ class StreamGraph:
         output tuple), ``selectivity / fan_out`` for split fan-out
         (data-parallel round-robin distribution).
         """
-        op = self._operators[src]
-        n_succ = len(self._successors[src])
+        return self._multipliers[src]
+
+    def _compute_multiplier(self, op: Operator) -> float:
+        n_succ = len(self._successors[op.index])
         if n_succ == 0:
             return 0.0
         if op.fanout is FanoutPolicy.SPLIT:
@@ -364,13 +396,20 @@ class StreamGraph:
         selectivity along edges.  Broadcast fan-out *replicates* tuples
         (every successor sees each output tuple, SPL stream semantics),
         split fan-out divides them (data parallelism); fan-in *sums*
-        rates.
+        rates.  Returns a fresh dict the caller may mutate.
         """
+        return dict(self._rates)
+
+    def arrival_rate(self, index: int) -> float:
+        """One operator's entry of :meth:`arrival_rates`, without a copy."""
+        return self._rates[index]
+
+    def _compute_arrival_rates(self) -> Dict[int, float]:
         rates: Dict[int, float] = {op.index: 0.0 for op in self._operators}
-        for op in self.sources:
+        for op in self._sources:
             rates[op.index] = 1.0
         for idx in self._topo_order:
-            per_succ = rates[idx] * self.edge_rate_multiplier(idx)
+            per_succ = rates[idx] * self._multipliers[idx]
             for succ in self._successors[idx]:
                 rates[succ] += per_succ
         return rates

@@ -35,7 +35,12 @@ from typing import Dict, Optional, Tuple
 
 from ..graph.model import StreamGraph
 from ..runtime.queues import QueuePlacement
-from ..runtime.regions import RegionDecomposition, decompose
+from ..runtime.regions import (
+    Region,
+    RegionDecomposition,
+    RegionMemo,
+    decompose,
+)
 from .contention import operator_lock_cost, pop_cost, push_cost
 from .machine import MachineProfile
 
@@ -78,24 +83,23 @@ class PerformanceModel:
     """Evaluates throughput for (placement, thread count) configurations.
 
     A model instance is bound to one graph and one machine profile so it
-    can cache the (placement-independent) global rates and reuse region
+    can cache placement-independent quantities and reuse region
     decompositions across repeated evaluations of the same placement —
     the adaptation loop evaluates each configuration many consecutive
-    periods.
+    periods.  Across placements it reuses every region the change left
+    intact (the :func:`decompose` memo) and that region's work.
     """
 
     def __init__(self, graph: StreamGraph, machine: MachineProfile) -> None:
-        self.graph = graph
         self.machine = machine
-        self._decomposition_cache: Dict[frozenset, RegionDecomposition] = {}
-        self._estimate_cache: Dict[Tuple[frozenset, int], ThroughputEstimate] = {}
+        self.invalidate(graph)
 
     # ------------------------------------------------------------------
     def decomposition(self, placement: QueuePlacement) -> RegionDecomposition:
         key = placement.queued
         found = self._decomposition_cache.get(key)
         if found is None:
-            found = decompose(self.graph, placement)
+            found = decompose(self.graph, placement, self._region_memo)
             # Bound the cache: adaptation explores O(hundreds) of
             # placements; keep the most recent ones only.
             if len(self._decomposition_cache) > 512:
@@ -144,18 +148,7 @@ class PerformanceModel:
         bottleneck_entry: Optional[int] = None
 
         for region in decomp.regions:
-            work = 0.0
-            for op_idx, rate in region.op_rates:
-                op = graph.operator(op_idx)
-                per_tuple = (
-                    machine.flop_time(op.cost_flops)
-                    + machine.call_overhead_s
-                    + machine.submit_overhead_s * op.selectivity
-                )
-                if op.uses_lock:
-                    contenders = min(decomp.threads_reaching(op_idx), active)
-                    per_tuple += operator_lock_cost(machine, contenders)
-                work += rate * per_tuple
+            work = self._operator_work(region, decomp, active)
             if not region.is_source_region:
                 work += region.entry_rate * t_pop
             for _queue_op, push_rate in region.push_rates:
@@ -241,6 +234,34 @@ class PerformanceModel:
         self._estimate_cache[cache_key] = estimate
         return estimate
 
+    def _operator_work(
+        self, region: Region, decomp: RegionDecomposition, active: int
+    ) -> float:
+        """Operator execution work of ``region`` per unit source rate,
+        summed in ``op_rates`` order.  A lock-free region's sum does not
+        depend on the thread count and is memoized per region object."""
+        cached = self._work_cache.get(id(region))
+        if cached is not None and cached[0] is region:
+            return cached[1]
+        machine = self.machine
+        per_tuple_base = self._per_tuple_s
+        locked = self._locked
+        work = 0.0
+        has_lock = False
+        for op_idx, rate in region.op_rates:
+            per_tuple = per_tuple_base[op_idx]
+            if locked[op_idx]:
+                has_lock = True
+                contenders = min(decomp.threads_reaching(op_idx), active)
+                per_tuple += operator_lock_cost(machine, contenders)
+            work += rate * per_tuple
+        if not has_lock:
+            if len(self._work_cache) > 8192:
+                self._work_cache.clear()
+            # Keeping the region referenced keeps its id() unique.
+            self._work_cache[id(region)] = (region, work)
+        return work
+
     # ------------------------------------------------------------------
     def sink_throughput(
         self, placement: QueuePlacement, scheduler_threads: int
@@ -251,17 +272,29 @@ class PerformanceModel:
         source rate through the graph's selectivities.
         """
         estimate = self.estimate(placement, scheduler_threads)
-        rates = self.graph.arrival_rates()
-        sink_rate_per_source = sum(
-            rates[op.index] for op in self.graph.sinks
+        return (
+            estimate.throughput * self._sink_rate_per_source / self._n_sources
         )
-        # Rates are normalized per-source; `throughput` aggregates all
-        # sources, each contributing rate 1.
-        n_sources = max(1, len(self.graph.sources))
-        return estimate.throughput * sink_rate_per_source / n_sources
 
     def invalidate(self, graph: StreamGraph) -> None:
         """Swap in a new graph (workload change) and drop caches."""
         self.graph = graph
-        self._decomposition_cache.clear()
-        self._estimate_cache.clear()
+        self._decomposition_cache: Dict[frozenset, RegionDecomposition] = {}
+        self._estimate_cache: Dict[Tuple[frozenset, int], ThroughputEstimate] = {}
+        self._region_memo: RegionMemo = {}
+        # id(region) -> (region, lock-free operator work).
+        self._work_cache: Dict[int, Tuple[Region, float]] = {}
+        machine = self.machine
+        self._per_tuple_s = tuple(
+            machine.flop_time(op.cost_flops)
+            + machine.call_overhead_s
+            + machine.submit_overhead_s * op.selectivity
+            for op in graph
+        )
+        self._locked = tuple(op.uses_lock for op in graph)
+        # Rates are normalized per-source; `throughput` aggregates all
+        # sources, each contributing rate 1.
+        self._sink_rate_per_source = sum(
+            graph.arrival_rate(op.index) for op in graph.sinks
+        )
+        self._n_sources = max(1, len(graph.sources))

@@ -49,7 +49,14 @@ class QueuePlacement:
 
     def validate(self, graph: StreamGraph) -> None:
         n = len(graph)
-        for idx in self.queued:
+        queued = self.queued
+        if not queued or (
+            min(queued) >= 0
+            and max(queued) < n
+            and queued.isdisjoint(op.index for op in graph.sources)
+        ):
+            return
+        for idx in queued:
             if not 0 <= idx < n:
                 raise PlacementError(
                     f"placement references unknown operator {idx}"

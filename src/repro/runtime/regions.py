@@ -30,8 +30,10 @@ so the global rates are conserved (tested property).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph.model import StreamGraph
 from .queues import QueuePlacement
@@ -87,86 +89,122 @@ class RegionDecomposition:
         """Map region entry -> member operator indices."""
         return {r.entry: list(r.operators) for r in self.regions}
 
+    @cached_property
+    def _reach_counts(self) -> Counter:
+        return Counter(
+            idx
+            for region in self.regions
+            for idx, rate in region.op_rates
+            if rate > 0.0
+        )
+
     def threads_reaching(self, op_idx: int) -> int:
         """Number of distinct regions whose execution touches ``op_idx``.
 
         Used by the contention model: an operator reachable from *k*
         regions can be executed by up to *k* threads concurrently, so a
-        lock inside it contends among up to *k* threads.
+        lock inside it contends among up to *k* threads.  Counted once
+        per decomposition, on first use.
         """
-        return sum(1 for r in self.regions if r.op_rate(op_idx) > 0.0)
+        return self._reach_counts[op_idx]
+
+
+# head -> (region, members other than the head, queued successors of
+# the members).  See :func:`decompose` for when an entry is reusable.
+RegionMemo = Dict[int, Tuple[Region, FrozenSet[int], FrozenSet[int]]]
 
 
 def decompose(
-    graph: StreamGraph, placement: QueuePlacement
+    graph: StreamGraph,
+    placement: QueuePlacement,
+    memo: Optional[RegionMemo] = None,
 ) -> RegionDecomposition:
     """Partition ``graph`` into regions under ``placement``.
 
     The algorithm walks from each region head (source or queued
     operator) through non-queued successors, propagating tuple rates.
-    Complexity is O(V + E) per region head in the worst case but each
-    edge is visited exactly once overall, since an edge belongs to
-    exactly one region (the region executing its ``src``) — either it
-    stays in-region (dst not queued) or becomes a push (dst queued).
+    A walk costs O(V_r + E_r): the members of the region it builds and
+    their outgoing edges.  Regions are not disjoint — with fan-in and
+    no queue an operator belongs to every region that reaches it — so a
+    full decomposition costs the sum of the region sizes, which can
+    exceed O(V + E).
+
+    ``memo`` (owned by the caller, one per graph) makes a decomposition
+    cost about as much as what the placement change touched.  A region
+    is a pure function of its head and of which operators in its reach
+    are queued: for a memoized ``(region, inner, push_targets)`` — the
+    members other than the head, and the queued successors of the
+    members — the walk under any queued set ``Q`` with
+    ``inner.isdisjoint(Q)`` and ``push_targets <= Q`` classifies every
+    visited successor exactly as before, so it yields the identical
+    region.  Such an entry is reused; any other head is walked afresh
+    and its entry replaced.  Without a memo every head is walked.
     """
     placement.validate(graph)
-    global_rates = graph.arrival_rates()
+    queued = placement.queued
 
     heads: List[int] = [op.index for op in graph.sources]
-    heads.extend(
-        idx for idx in sorted(placement.queued)
-    )
+    heads.extend(sorted(queued))
 
     regions: List[Region] = []
-    topo_position = {idx: pos for pos, idx in enumerate(graph.topological_order())}
-
     for head in heads:
-        is_source = graph.operator(head).is_source
-        entry_rate = 1.0 if is_source else global_rates[head]
-        # In-region rate propagation.  ``rates`` maps op -> tuples/sec
-        # processed by THIS region, per unit source rate.  For a queued
-        # head all tuples arriving at the queue are handled here; for a
-        # source the region handles its own emissions.
-        rates: Dict[int, float] = {head: entry_rate}
-        pushes: Dict[int, float] = {}
-        # Process members in topological order so fan-in inside the
-        # region accumulates fully before the operator's own outputs are
-        # propagated.
-        frontier = {head}
-        members: List[int] = []
-        # Collect the member set first (reachable without crossing queues).
-        stack = [head]
-        member_set = {head}
-        while stack:
-            node = stack.pop()
-            for succ in graph.successors(node):
-                if succ in placement:
-                    continue
-                if succ not in member_set:
-                    member_set.add(succ)
-                    stack.append(succ)
-        members = sorted(member_set, key=lambda i: topo_position[i])
-        for node in members:
-            node_rate = rates.get(node, 0.0)
-            per_succ = node_rate * graph.edge_rate_multiplier(node)
-            for succ in graph.successors(node):
-                if succ in placement:
-                    pushes[succ] = pushes.get(succ, 0.0) + per_succ
-                else:
-                    rates[succ] = rates.get(succ, 0.0) + per_succ
-        del frontier
-        op_rates = tuple(
-            (idx, rates.get(idx, 0.0)) for idx in members
-        )
-        push_rates = tuple(sorted(pushes.items()))
-        regions.append(
-            Region(
-                entry=head,
-                is_source_region=is_source,
-                entry_rate=entry_rate,
-                op_rates=op_rates,
-                push_rates=push_rates,
-            )
-        )
+        cached = memo.get(head) if memo is not None else None
+        if (
+            cached is not None
+            and cached[1].isdisjoint(queued)
+            and cached[2] <= queued
+        ):
+            regions.append(cached[0])
+            continue
+        entry = _walk_region(graph, head, queued)
+        if memo is not None:
+            memo[head] = entry
+        regions.append(entry[0])
 
     return RegionDecomposition(regions=tuple(regions), placement=placement)
+
+
+def _walk_region(
+    graph: StreamGraph, head: int, queued: FrozenSet[int]
+) -> Tuple[Region, FrozenSet[int], FrozenSet[int]]:
+    """Build the region headed by ``head`` under the ``queued`` set."""
+    adjacency = graph.adjacency
+    is_source = graph.operator(head).is_source
+    entry_rate = 1.0 if is_source else graph.arrival_rate(head)
+    # Collect the member set first (reachable without crossing queues).
+    member_set = {head}
+    push_targets = set()
+    stack = [head]
+    while stack:
+        for succ in adjacency[stack.pop()]:
+            if succ in queued:
+                push_targets.add(succ)
+            elif succ not in member_set:
+                member_set.add(succ)
+                stack.append(succ)
+    # Process members in topological order so fan-in inside the region
+    # accumulates fully before the operator's own outputs are
+    # propagated.  ``rates`` maps op -> tuples/sec processed by THIS
+    # region, per unit source rate.  For a queued head all tuples
+    # arriving at the queue are handled here; for a source the region
+    # handles its own emissions.
+    members = sorted(member_set, key=graph.topological_positions.__getitem__)
+    multipliers = graph.edge_rate_multipliers
+    rates: Dict[int, float] = {head: entry_rate}
+    pushes: Dict[int, float] = {}
+    for node in members:
+        per_succ = rates.get(node, 0.0) * multipliers[node]
+        for succ in adjacency[node]:
+            if succ in queued:
+                pushes[succ] = pushes.get(succ, 0.0) + per_succ
+            else:
+                rates[succ] = rates.get(succ, 0.0) + per_succ
+    region = Region(
+        entry=head,
+        is_source_region=is_source,
+        entry_rate=entry_rate,
+        op_rates=tuple((idx, rates.get(idx, 0.0)) for idx in members),
+        push_rates=tuple(sorted(pushes.items())),
+    )
+    member_set.discard(head)
+    return region, frozenset(member_set), frozenset(push_targets)

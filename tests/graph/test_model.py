@@ -248,3 +248,65 @@ class TestGraphMutation:
     def test_total_cost(self, chain10):
         # 10 ops x 1000 + source 10 + sink 10
         assert chain10.total_cost_flops() == pytest.approx(10020.0)
+
+
+class TestCachedInvariants:
+    """The graph is immutable, so its invariants are computed once;
+    callers must still never be able to corrupt them."""
+
+    def test_arrival_rates_returns_a_fresh_dict(self, diamond):
+        rates = diamond.arrival_rates()
+        expected = dict(rates)
+        rates[0] = 42.0
+        rates.clear()
+        assert diamond.arrival_rates() == expected
+        assert diamond.arrival_rates() is not diamond.arrival_rates()
+        assert diamond.arrival_rate(0) == expected[0]
+
+    def test_sources_and_sinks_are_stable_tuples(self, diamond):
+        assert isinstance(diamond.sources, tuple)
+        assert isinstance(diamond.sinks, tuple)
+        assert diamond.sources is diamond.sources
+        assert diamond.sinks is diamond.sinks
+        assert diamond.sources == tuple(op for op in diamond if op.is_source)
+        assert diamond.sinks == tuple(op for op in diamond if op.is_sink)
+
+    def test_adjacency_multipliers_and_positions(self):
+        b = GraphBuilder("split")
+        src = b.add_source("src", fanout=FanoutPolicy.SPLIT, selectivity=3.0)
+        workers = [b.add_operator(f"w{i}") for i in range(3)]
+        snk = b.add_sink("snk")
+        b.fan_out(src, workers)
+        b.fan_in(workers, snk)
+        g = b.build()
+        for op in g:
+            assert g.successors(op.index) == g.adjacency[op.index]
+        assert g.edge_rate_multipliers[src.index] == pytest.approx(1.0)
+        assert g.edge_rate_multipliers[snk.index] == 0.0
+        assert [
+            g.edge_rate_multiplier(op.index) for op in g
+        ] == list(g.edge_rate_multipliers)
+        order = g.topological_order()
+        assert [g.topological_positions[idx] for idx in order] == list(
+            range(len(g))
+        )
+
+    def test_replace_costs_graph_has_its_own_caches(self, chain10):
+        src = chain10.sources[0].index
+        rates = chain10.arrival_rates()
+        new = chain10.replace_costs({src: 7.0})
+        assert new.sources[0].cost_flops == 7.0
+        assert chain10.sources[0].cost_flops != 7.0
+        assert new.sinks[0] is new.operator(new.sinks[0].index)
+        assert new.arrival_rates() == rates
+        mutated = new.arrival_rates()
+        mutated[src] = -1.0
+        assert chain10.arrival_rates() == rates
+
+    def test_with_tuple_spec_graph_has_its_own_caches(self, diamond):
+        new = diamond.with_tuple_spec(TupleSpec(payload_bytes=4096))
+        assert new.sources == diamond.sources
+        assert new.adjacency == diamond.adjacency
+        assert new.arrival_rates() == diamond.arrival_rates()
+        assert new.arrival_rates() is not diamond.arrival_rates()
+        assert new.topological_positions == diamond.topological_positions

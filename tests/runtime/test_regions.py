@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.packet_analysis import build_packet_analysis
 from repro.graph import (
     FanoutPolicy,
     GraphBuilder,
+    StreamGraph,
+    bushy_82,
     data_parallel,
     mixed,
     pipeline,
 )
 from repro.graph.analysis import queueable_indices
+from repro.perfmodel import PerformanceModel, laptop
 from repro.runtime import QueuePlacement, decompose
+from repro.scenarios import load_compiled
+from repro.scenarios.zoo import scenario_files
 
 
 class TestChainDecomposition:
@@ -219,3 +227,161 @@ class TestSelectivityRegions:
         assert src_region.push_rates == ((w1.index, pytest.approx(0.5)),)
         dyn = d.dynamic_regions[0]
         assert dyn.op_rate(snk.index) == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# the region memo: memoized decompositions equal memo-less ones
+# ----------------------------------------------------------------------
+_GRAPHS = {}
+
+
+def _dead_branch():
+    """A filter dropping every tuple: operators behind it run at rate 0
+    yet stay region members (and must not count as reached)."""
+    b = GraphBuilder("dead-branch")
+    src = b.add_source("src")
+    drop = b.add_operator("drop", selectivity=0.0)
+    dead = b.add_operator("dead")
+    live = b.add_operator("live")
+    snk = b.add_sink("snk", uses_lock=True)
+    b.fan_out(src, [drop, live])
+    b.connect(drop, dead)
+    b.fan_in([dead, live], snk)
+    return b.build()
+
+
+def _zoo_graph(name):
+    """Topology-zoo, scenario-zoo and PacketAnalysis graphs, built once."""
+    if not _GRAPHS:
+        _GRAPHS.update(
+            {
+                "dead_branch": _dead_branch(),
+                "pipeline": pipeline(12),
+                "data_parallel": data_parallel(6),
+                "mixed": mixed(3, 4),
+                "bushy_82": bushy_82(),
+                "packet_analysis_1": build_packet_analysis(1),
+            }
+        )
+        for path in scenario_files(None):
+            _GRAPHS[path.stem] = load_compiled(path).graph
+    return _GRAPHS[name]
+
+
+_GRAPH_NAMES = [
+    "dead_branch",
+    "pipeline",
+    "data_parallel",
+    "mixed",
+    "bushy_82",
+    "packet_analysis_1",
+] + [path.stem for path in scenario_files(None)]
+
+
+def _scanned_threads_reaching(decomp, op_idx):
+    """The contention count by scanning every region's op_rates."""
+    return sum(1 for r in decomp.regions if r.op_rate(op_idx) > 0.0)
+
+
+# A walk step toggles the queues of a few operators (drawn by position
+# in the graph's queueable list) — several at once, like a threading
+# model probe re-drawing a subset.
+_walks = st.lists(
+    st.lists(st.integers(0, 10_000), min_size=1, max_size=6),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestRegionMemo:
+    @given(
+        name=st.sampled_from(_GRAPH_NAMES),
+        start_fraction=st.floats(0.0, 1.0),
+        walk=_walks,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_memoized_equals_fresh_along_placement_walks(
+        self, name, start_fraction, walk
+    ):
+        graph = _zoo_graph(name)
+        eligible = queueable_indices(graph)
+        queued = set(eligible[: int(start_fraction * len(eligible))])
+        memo = {}
+        for picks in [[]] + walk:
+            for pick in picks:
+                queued ^= {eligible[pick % len(eligible)]}
+            placement = QueuePlacement.of(queued)
+            memoized = decompose(graph, placement, memo)
+            fresh = decompose(graph, placement)
+            assert memoized == fresh
+            for ours, theirs in zip(memoized.regions, fresh.regions):
+                assert ours.op_rates == theirs.op_rates
+                assert ours.push_rates == theirs.push_rates
+                assert ours.entry_rate == theirs.entry_rate
+            for op in graph:
+                assert memoized.threads_reaching(
+                    op.index
+                ) == _scanned_threads_reaching(fresh, op.index)
+
+    def test_zero_rate_members_are_not_reached(self):
+        graph = _dead_branch()
+        dead = graph.by_name("dead").index
+        snk = graph.by_name("snk").index
+        decomp = decompose(graph, QueuePlacement.of([snk]))
+        assert dead in decomp.regions[0].operators
+        assert decomp.threads_reaching(dead) == 0
+        assert decomp.threads_reaching(snk) == 1
+
+    def test_memo_reuses_untouched_regions(self):
+        graph = pipeline(12)
+        memo = {}
+        first = decompose(graph, QueuePlacement.of([3, 8]), memo)
+        second = decompose(graph, QueuePlacement.of([3, 8, 10]), memo)
+        # The region headed at 3 does not reach 10; the one at 8 does.
+        assert second.region_of_entry(3) is first.region_of_entry(3)
+        assert second.region_of_entry(8) is not first.region_of_entry(8)
+        assert second == decompose(graph, QueuePlacement.of([3, 8, 10]))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_model_invalidate_never_serves_a_stale_region(
+        self, seed, fraction
+    ):
+        graph = build_packet_analysis(1)
+        rng = np.random.default_rng(seed)
+        placements = [
+            _random_placement(graph, rng, fraction) for _ in range(3)
+        ]
+        model = PerformanceModel(graph, laptop(8))
+        for placement in placements:
+            model.estimate(placement, 4)
+        # A cost-only swap keeps every region but changes the work.
+        costly = graph.replace_costs(
+            {op.index: op.cost_flops * 3.0 + 1.0 for op in graph}
+        )
+        model.invalidate(costly)
+        for placement in placements:
+            assert model.estimate(placement, 4) == PerformanceModel(
+                costly, laptop(8)
+            ).estimate(placement, 4)
+        # A selectivity swap on the same topology changes the regions.
+        halved = StreamGraph(
+            [
+                dataclasses.replace(op, selectivity=op.selectivity * 0.5)
+                for op in graph
+            ],
+            graph.edges,
+            tuple_spec=graph.tuple_spec,
+            name=graph.name,
+        )
+        model.invalidate(halved)
+        for placement in placements:
+            assert model.decomposition(placement) == decompose(
+                halved, placement
+            )
+            assert model.estimate(placement, 4) == PerformanceModel(
+                halved, laptop(8)
+            ).estimate(placement, 4)
