@@ -41,7 +41,8 @@ def _experiment():
     pe = ProcessingElement(
         graph, machine, RuntimeConfig(cores=88, seed=0)
     )
-    AdaptationExecutor(pe).run(20_000, stop_after_stable_periods=24)
+    executor = AdaptationExecutor(pe)
+    executor.run(executor.periods_for(20_000), stop_after_stable_periods=24)
     multi_placement = pe.placement
     multi_threads = pe.scheduler_threads
 

@@ -1,7 +1,7 @@
 """Warm-start adaptation: settling time and lost throughput vs cold.
 
-Three variants per scenario, all through the scenario zoo and the
-``AdaptationBackend`` surface:
+Three variants per scenario, all through the scenario zoo and
+``make_backend``:
 
 - **cold** — stock behaviour (warm start off),
 - **model** — seeded from the analytical perfmodel prior,

@@ -28,7 +28,7 @@ def main() -> None:
         elasticity=ElasticityConfig(profiling_samples=400),
     )
     runner = DesAdaptationRunner(graph, machine, config)
-    manual = runner.measure()
+    manual, _true = runner.measure()
     print(f"manual execution (DES): {manual:12,.0f} tuples/s")
     print("running the elastic adaptation loop on the DES engine ...")
     start = time.time()

@@ -41,7 +41,9 @@ def main() -> None:
         workload.initial, machine, RuntimeConfig(cores=88, seed=0)
     )
     executor = AdaptationExecutor(pe, workload_events=workload.events())
-    result = executor.run(3600)
+    result = executor.run(
+        executor.periods_for(3600), stop_after_stable_periods=None
+    )
     trace = result.trace
 
     throughputs = [o.true_throughput for o in trace.observations]

@@ -1,5 +1,6 @@
 """Benchmark harness: baselines, per-figure experiments, reporting."""
 
+from ..runtime.pool import derive_seed, parallel_enabled, run_cells
 from .harness import (
     BaselineResult,
     Comparison,
@@ -10,7 +11,6 @@ from .harness import (
     run_manual,
     run_multi_level,
 )
-from .parallel import derive_seed, parallel_enabled, run_cells
 from .timeline import render_timeline
 from .reporting import (
     app_table,

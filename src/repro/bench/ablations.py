@@ -74,7 +74,9 @@ def _run(
         executor.coordinator.threading_model.set_groups(
             groups, initial_placement
         )
-    result = executor.run(duration_s, stop_after_stable_periods=24)
+    result = executor.run(
+        executor.periods_for(duration_s), stop_after_stable_periods=24
+    )
     trace = result.trace
     return AblationResult(
         arm=arm,
@@ -114,7 +116,9 @@ def ablate_start_direction(
     )
     coordinator.threading_model.set_groups(pe.profiling_groups(), full)
     executor = AdaptationExecutor(pe, coordinator=coordinator)
-    result = executor.run(30_000.0, stop_after_stable_periods=24)
+    result = executor.run(
+        executor.periods_for(30_000.0), stop_after_stable_periods=24
+    )
     maximum = AblationResult(
         arm="start-maximum",
         converged_throughput=result.converged_throughput,
@@ -235,7 +239,12 @@ def ablate_primary_order(
     pe = ProcessingElement(graph, machine, config)
     executor = AdaptationExecutor(pe)
     primary_threads = _replace(
-        _stats(executor.run(30_000.0, stop_after_stable_periods=24)),
+        _stats(
+            executor.run(
+                executor.periods_for(30_000.0),
+                stop_after_stable_periods=24,
+            )
+        ),
         arm="thread-count-primary",
     )
 
@@ -248,7 +257,12 @@ def ablate_primary_order(
     )
     executor2 = AdaptationExecutor(pe2, coordinator=alt)
     primary_model = _replace(
-        _stats(executor2.run(30_000.0, stop_after_stable_periods=24)),
+        _stats(
+            executor2.run(
+                executor2.periods_for(30_000.0),
+                stop_after_stable_periods=24,
+            )
+        ),
         arm="threading-model-primary",
     )
     return [primary_threads, primary_model]
@@ -288,7 +302,9 @@ def ablate_binning(
         seed=seed,
     )
     executor = AdaptationExecutor(pe, coordinator=coordinator)
-    result = executor.run(60_000.0, stop_after_stable_periods=24)
+    result = executor.run(
+        executor.periods_for(60_000.0), stop_after_stable_periods=24
+    )
     per_op = AblationResult(
         arm="per-operator",
         converged_throughput=result.converged_throughput,

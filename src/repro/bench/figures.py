@@ -36,13 +36,13 @@ from ..runtime.config import ElasticityConfig, RuntimeConfig
 from ..runtime.events import AdaptationTrace
 from ..runtime.executor import AdaptationExecutor
 from ..runtime.pe import ProcessingElement
+from ..runtime.pool import run_cells
 from .harness import (
     Comparison,
     compare,
     oracle_sweep,
     run_multi_level,
 )
-from .parallel import run_cells
 
 MACHINES = {"xeon": xeon_176, "power8": power8_184}
 
@@ -122,7 +122,7 @@ def fig01_motivation(
     """100-operator chain, 100 FLOPs/op: the motivating sweep.
 
     Cells (one per payload x cores point) are independent and fan out
-    across a process pool (see :mod:`repro.bench.parallel`).
+    across a process pool (see :mod:`repro.runtime.pool`).
     """
     cells = [
         (payload, n_cores, n_operators, tuple(fractions), seed)
@@ -175,7 +175,10 @@ def fig06_adaptation(
         config = _config(machine, seed=seed, elasticity=elasticity)
         pe = ProcessingElement(graph, machine, config)
         executor = AdaptationExecutor(pe)
-        run = executor.run(duration_s, stop_after_stable_periods=24)
+        run = executor.run(
+            executor.periods_for(duration_s),
+            stop_after_stable_periods=24,
+        )
         results.append(
             Fig06Result(
                 variant=name,
@@ -461,7 +464,10 @@ def fig13_phase_change(
     config = _config(machine, seed=seed)
     pe = ProcessingElement(workload.initial, machine, config)
     executor = AdaptationExecutor(pe, workload_events=workload.events())
-    run = executor.run(total_duration_s)
+    run = executor.run(
+        executor.periods_for(total_duration_s),
+        stop_after_stable_periods=None,
+    )
     trace = run.trace
 
     before = [o for o in trace.observations if o.time_s < change_time_s]

@@ -185,7 +185,8 @@ def run_multi_level(
     pe = ProcessingElement(graph, machine, config)
     executor = AdaptationExecutor(pe, obs=hub)
     result = executor.run(
-        duration_s, stop_after_stable_periods=STABLE_PERIODS_TO_STOP
+        executor.periods_for(duration_s),
+        stop_after_stable_periods=STABLE_PERIODS_TO_STOP,
     )
     return BaselineResult(
         label="multi-level",

@@ -28,8 +28,9 @@ process-local, which still covers mid-run phase recurrence under
 time-varying open-loop load (diurnal, ON/OFF, flash crowds).
 
 Everything here is substrate-agnostic: the same
-:class:`WarmStartSpec` travels through the ``AdaptationBackend``
-protocol to the DES, perfmodel and multi-PE job runners (it is a
+:class:`WarmStartSpec` travels through
+:meth:`~repro.runtime.loop.ElasticLoop.set_warm_start` to the DES,
+perfmodel and multi-PE job runners (it is a
 plain picklable dataclass, so the job layer can ship it to pool
 workers), and each runner builds its own :class:`WarmStartSession`
 bound to its graph, machine and phase clock.

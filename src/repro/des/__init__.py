@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate (tuple-level validation)."""
 
-from .adaptation import DesAdaptationResult, DesAdaptationRunner
+from .adaptation import DesAdaptationRunner
 from .channels import DEFAULT_CHANNEL, ChannelConfig
 from .engine import DesEngine, DesResult, measure_throughput
 from .fastforward import FastForwarder
@@ -20,7 +20,6 @@ from .kernel import (
 __all__ = [
     "ChannelConfig",
     "DEFAULT_CHANNEL",
-    "DesAdaptationResult",
     "DesAdaptationRunner",
     "DesEngine",
     "DesResult",

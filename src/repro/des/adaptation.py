@@ -42,28 +42,17 @@ large-scale figure sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..bench import cache
 from ..core.binning import ProfilingGroup, build_groups
-from ..core.coordinator import MultiLevelCoordinator
 from ..core.profiler import CostProfile, SamplingProfiler
-from ..core.warmstart import (
-    WarmStartSpec,
-    make_runner_session,
-    quantize_rate,
-)
+from ..core.warmstart import WarmStartSpec, quantize_rate
 from ..graph.model import StreamGraph
-from ..obs.hub import Obs, ensure_hub
+from ..obs.hub import Obs
 from ..perfmodel.machine import MachineProfile
 from ..runtime.config import RuntimeConfig
-from ..runtime.events import (
-    AdaptationTrace,
-    Observation,
-    PlacementChange,
-    ThreadCountChange,
-)
+from ..runtime.loop import ElasticLoop
 from ..runtime.queues import QueuePlacement
 from .channels import DEFAULT_CHANNEL, ChannelConfig
 from .engine import DesEngine
@@ -74,25 +63,9 @@ from .engine import DesEngine
 _PROFILER_SAMPLES_PER_WINDOW = 400.0
 
 
-@dataclass(frozen=True)
-class DesAdaptationResult:
-    """Outcome of a DES-driven elastic run."""
-
-    trace: AdaptationTrace
-    final_placement: QueuePlacement
-    final_threads: int
-    converged_throughput: float
-
-    @property
-    def final_n_queues(self) -> int:
-        """Queue count of the final placement (the
-        :class:`~repro.runtime.backend.AdaptationBackend` shape —
-        perfmodel results carry the same field)."""
-        return self.final_placement.n_queues
-
-
-class DesAdaptationRunner:
-    """Runs the multi-level coordinator against the DES engine."""
+class DesAdaptationRunner(ElasticLoop):
+    """The :class:`~repro.runtime.loop.ElasticLoop` substrate over the
+    DES engine: each period's throughput is a simulated execution."""
 
     def __init__(
         self,
@@ -127,9 +100,6 @@ class DesAdaptationRunner:
         cache key, so differently-batched runs never share cells.
         """
         self.graph = graph
-        self._workload_events = sorted(
-            workload_events or [], key=lambda ev: ev[0]
-        )
         self.profile_from_execution = profile_from_execution
         self.sampled_profiling = sampled_profiling
         self.machine = machine
@@ -137,19 +107,12 @@ class DesAdaptationRunner:
         self.warmup_s = warmup_s
         self.measure_s = measure_s
         self.queue_capacity = queue_capacity
-        self._hub = ensure_hub(obs)
         self._profiler = SamplingProfiler(
             machine,
             n_samples=self.config.elasticity.profiling_samples,
             seed=self.config.seed + 1,
         )
-        self.coordinator = MultiLevelCoordinator(
-            config=self.config.elasticity,
-            max_threads=self.config.effective_max_threads,
-            profile_provider=self._profile_groups,
-            seed=self.config.seed,
-            obs=self._hub,
-        )
+        super().__init__(self.config, obs, workload_events)
         self.placement = QueuePlacement.empty()
         self.threads = self.config.elasticity.initial_threads
         # Execution profile of the most recently measured period (only
@@ -179,16 +142,8 @@ class DesAdaptationRunner:
         # the job executor compares this rate against the ingress rate
         # it installed to recover the true shortfall.
         self.last_source_rate = 0.0
-        # Warm-start policy: a disabled/absent spec leaves the
-        # coordinator's stock cold start byte-identical.
-        self._warm_spec: Optional[WarmStartSpec] = None
         if warm_start is not None:
             self.set_warm_start(warm_start)
-        # Per-run stepping state (begin_run/step_period); run() drives
-        # these, and the multi-PE job executor drives them directly to
-        # interleave periods across PEs.
-        self.trace = AdaptationTrace.empty()
-        self._events_left: List[tuple] = []
         self._m_offered_util = self._hub.registry.gauge(
             "des.offered_utilization",
             "fraction of the offered open-loop load the PE admitted "
@@ -297,8 +252,10 @@ class DesAdaptationRunner:
         return build_groups(self.graph, profile)
 
     # ------------------------------------------------------------------
-    def measure(self) -> float:
-        """One adaptation period: execute the current configuration.
+    def measure(self) -> Tuple[float, float]:
+        """One adaptation period: execute the current configuration and
+        return its ``(observed, true)`` sink throughput — the same
+        figure twice, as the simulation has no measurement noise.
 
         Memoized: the DES is deterministic in the cell key, so a
         configuration the run (or a sibling variant) has already
@@ -338,7 +295,7 @@ class DesAdaptationRunner:
         self.last_source_rate = result.source_tuples_per_s
         if result.open_loop:
             self._m_offered_util.set(result.offered_utilization)
-        return result.sink_tuples_per_s
+        return result.sink_tuples_per_s, result.sink_tuples_per_s
 
     def _phase_token(self):
         """Workload-phase component of the warm-start store key.
@@ -357,25 +314,6 @@ class DesAdaptationRunner:
             return ("rate", quantize_rate(spec.phase_rate(self._period_t0)))
         return ("open", self._arrivals_key)
 
-    def set_warm_start(self, spec: Optional[WarmStartSpec]) -> None:
-        """Install (or clear, with None) the warm-start policy.
-
-        Part of the :class:`~repro.runtime.backend.AdaptationBackend`
-        surface: every substrate accepts the same picklable spec and
-        builds its own session against its graph and phase clock.
-        """
-        self._warm_spec = spec
-        self.coordinator.set_warm_start(
-            make_runner_session(
-                spec,
-                graph_fn=lambda: self.graph,
-                machine=self.machine,
-                config=self.config,
-                phase_token=self._phase_token,
-                obs=self._hub,
-            )
-        )
-
     def set_arrivals(self, factory, key: Optional[Tuple]) -> None:
         """Swap the arrival schedule between periods.
 
@@ -388,95 +326,24 @@ class DesAdaptationRunner:
         self._arrivals_factory = factory
         self._arrivals_key = key
 
-    def begin_run(self) -> None:
-        """Reset per-run state ahead of a sequence of
-        :meth:`step_period` calls (``run`` calls this itself)."""
-        self.trace = AdaptationTrace.empty()
-        self._events_left = list(self._workload_events)
+    def _set_graph(self, graph: StreamGraph) -> None:
+        self.placement.validate(graph)
+        self.graph = graph
+
+    def _set_threads(self, n: int) -> None:
+        self.threads = n
+
+    def _set_placement(self, placement: QueuePlacement) -> None:
+        self.placement = placement
 
     def step_period(self, k: int) -> float:
-        """Execute adaptation period ``k`` (1-based): pop due workload
-        events, measure the current configuration, record the
-        observation, and apply the coordinator's decision.  Returns the
-        observed throughput.
+        """Execute adaptation period ``k`` (1-based) through the loop.
 
         ``run`` drives this in a loop; the multi-PE job executor
         drives several runners' periods in lockstep instead, injecting
         fresh arrival schedules between calls (:meth:`set_arrivals`).
         """
-        period_s = self.config.elasticity.adaptation_period_s
-        time_s = k * period_s
         # Arrival envelopes advance with the adaptation clock: the
         # k-th period's engine sees the schedule from (k-1)·T on.
-        self._period_t0 = (k - 1) * period_s
-        events = self._events_left
-        while events and events[0][0] <= time_s:
-            _, new_graph = events.pop(0)
-            self.placement.validate(new_graph)
-            self.graph = new_graph
-        observed = self.measure()
-        self.trace.observations.append(
-            Observation(
-                time_s=time_s,
-                throughput=observed,
-                true_throughput=observed,
-                threads=self.threads,
-                n_queues=self.placement.n_queues,
-                mode=self.coordinator.mode.value,
-            )
-        )
-        action = self.coordinator.step(observed)
-        if action.set_threads is not None and (
-            action.set_threads != self.threads
-        ):
-            self.trace.thread_changes.append(
-                ThreadCountChange(
-                    time_s=time_s,
-                    old_threads=self.threads,
-                    new_threads=action.set_threads,
-                )
-            )
-            self.threads = action.set_threads
-        if action.set_placement is not None and (
-            action.set_placement.queued != self.placement.queued
-        ):
-            self.trace.placement_changes.append(
-                PlacementChange(
-                    time_s=time_s,
-                    old_n_queues=self.placement.n_queues,
-                    new_n_queues=action.set_placement.n_queues,
-                )
-            )
-            self.placement = action.set_placement
-        return observed
-
-    def result(self) -> DesAdaptationResult:
-        """Package the run state accumulated so far."""
-        return DesAdaptationResult(
-            trace=self.trace,
-            final_placement=self.placement,
-            final_threads=self.threads,
-            converged_throughput=self.trace.final_throughput(window=4),
-        )
-
-    def run(
-        self,
-        max_periods: int = 120,
-        stop_after_stable_periods: Optional[int] = 8,
-    ) -> DesAdaptationResult:
-        """Drive the adaptation loop for up to ``max_periods`` periods."""
-        self.begin_run()
-        stable_streak = 0
-        for k in range(1, max_periods + 1):
-            self.step_period(k)
-            if (
-                stop_after_stable_periods is not None
-                and not self._events_left
-            ):
-                if self.coordinator.is_stable:
-                    stable_streak += 1
-                    if stable_streak >= stop_after_stable_periods:
-                        break
-                else:
-                    stable_streak = 0
-        return self.result()
+        self._period_t0 = (k - 1) * self.period_s
+        return super().step_period(k)

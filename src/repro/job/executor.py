@@ -61,13 +61,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bench import cache
 from ..core.warmstart import PhaseRecord, PhaseStore, WarmStartSpec
-from ..des.adaptation import DesAdaptationResult, DesAdaptationRunner
+from ..des.adaptation import DesAdaptationRunner
 from ..des.channels import ChannelConfig
 from ..obs.hub import Obs, ensure_hub
 from ..obs.scope import scoped
 from ..perfmodel.machine import MachineProfile
 from ..runtime.config import RuntimeConfig
 from ..runtime.events import AdaptationTrace, Observation
+from ..runtime.loop import ElasticLoop, ExecutionResult
 from ..runtime.pool import POOL_START_ERRORS, WorkerPoolError, job_workers
 from ..scenarios.arrivals import ArrivalProcess
 from ..scenarios.schema import ArrivalKind, ArrivalSpec, PartitionStrategy
@@ -203,22 +204,26 @@ def build_pe_runner(
 class JobAdaptationResult:
     """Outcome of a multi-PE elastic run.
 
-    Satisfies the :class:`~repro.runtime.backend.AdaptationBackend`
-    result shape: ``final_threads``/``final_n_queues`` aggregate over
-    PEs (replica-weighted), ``converged_throughput`` is the job's
-    real-sink emission.
+    Carries the loop's result shape: ``final_threads``/
+    ``final_n_queues`` aggregate over PEs (replica-weighted),
+    ``converged_throughput`` is the job's real-sink emission.
     """
 
     trace: AdaptationTrace
-    pe_results: Dict[str, DesAdaptationResult]
+    pe_results: Dict[str, ExecutionResult]
     final_replicas: Dict[str, int]
     final_threads: int
     final_n_queues: int
     converged_throughput: float
 
 
-class JobAdaptationRunner:
-    """Runs a job graph's PEs in lockstep adaptation periods."""
+class JobAdaptationRunner(ElasticLoop):
+    """Runs a job graph's PEs in lockstep adaptation periods.
+
+    An :class:`~repro.runtime.loop.ElasticLoop` with its own
+    ``step_period``: one period steps every PE, then the job
+    coordinator; the loop supplies ``run`` and the stable-streak stop.
+    """
 
     def __init__(
         self,
@@ -241,8 +246,14 @@ class JobAdaptationRunner:
     ) -> None:
         self.job = job
         self.machine = machine
-        self.config = config if config is not None else RuntimeConfig()
-        self._hub = ensure_hub(obs)
+        config = config if config is not None else RuntimeConfig()
+        super().__init__(
+            config,
+            obs,
+            coordinator=JobCoordinator(
+                obs=ensure_hub(obs), thread_budget=thread_budget
+            ),
+        )
         self._arrivals_factory = arrivals_factory
         self._arrivals_key = arrivals_key
         # Worker-pool width: the ``jobs`` argument (e.g. the CLI's
@@ -265,9 +276,6 @@ class JobAdaptationRunner:
         # JOB-level posterior: converged replica counts per phase.
         self._job_store = self._make_job_store()
         self._job_recorded = False
-        self.coordinator = JobCoordinator(
-            obs=self._hub, thread_budget=thread_budget
-        )
         self.replicas: Dict[str, int] = {
             pe.name: pe.replicas for pe in job.pes
         }
@@ -305,11 +313,10 @@ class JobAdaptationRunner:
         # Per-PE coordinator stability as of the last completed period
         # (mirrored from worker reports in parallel mode).
         self._pe_stable: Dict[str, bool] = {}
-        self.trace = AdaptationTrace.empty()
         # Live parallel session while run() drives a worker pool, and
         # the per-PE results it fetched at the end of the run.
         self._session = None
-        self._pe_results: Optional[Dict[str, DesAdaptationResult]] = None
+        self._pe_results: Optional[Dict[str, ExecutionResult]] = None
 
     # ------------------------------------------------------------------
     # warm start
@@ -535,8 +542,8 @@ class JobAdaptationRunner:
         """Run adaptation period ``k`` across every PE, couple the
         channels, then take one job-coordinator step.  Returns the
         job throughput observed this period."""
-        period_s = self.config.elasticity.adaptation_period_s
-        self._hub.tick(k * period_s)
+        time_s = k * self.period_s
+        self._hub.tick(time_s)
         if self._session is not None:
             reports = self._period_parallel(k)
         else:
@@ -583,7 +590,7 @@ class JobAdaptationRunner:
             self._record_job_point(job_throughput)
         self.trace.observations.append(
             Observation(
-                time_s=k * period_s,
+                time_s=time_s,
                 throughput=job_throughput,
                 true_throughput=job_throughput,
                 threads=self._total_threads(),
@@ -697,47 +704,30 @@ class JobAdaptationRunner:
             self, "_job_changed", False
         )
 
-    def run(
-        self,
-        max_periods: Optional[int] = None,
-        stop_after_stable_periods: Optional[int] = 8,
-    ) -> JobAdaptationResult:
-        """Drive the lockstep loop (the
-        :class:`~repro.runtime.backend.AdaptationBackend` surface)."""
-        if max_periods is None:
-            max_periods = 120
-        self.trace = AdaptationTrace.empty()
+    def begin_run(self) -> None:
+        """Reset per-run state, restore any warm replica counts and
+        start the worker pool (or begin every PE runner in-process)."""
+        super().begin_run()
         self._pe_results = None
         self._pe_stable = {}
         self._job_recorded = False
         self._maybe_warm_replicas()
         self._session = self._start_session()
-        try:
-            if self._session is None:
-                for runner in self.runners.values():
-                    runner.begin_run()
-            else:
-                self._wave_list = self._waves()
-                self._session.begin()
-            stable_streak = 0
-            for k in range(1, max_periods + 1):
-                self.step_period(k)
-                if stop_after_stable_periods is not None:
-                    if self.is_stable:
-                        stable_streak += 1
-                        if stable_streak >= stop_after_stable_periods:
-                            break
-                    else:
-                        stable_streak = 0
-            if self._session is not None:
-                self._pe_results = self._session.finish()
-        finally:
-            if self._session is not None:
-                self._session.close()
-                self._session = None
-        return self.result()
+        if self._session is None:
+            for runner in self.runners.values():
+                runner.begin_run()
+        else:
+            self._wave_list = self._waves()
+            self._session.begin()
+
+    def end_run(self) -> None:
+        if self._session is not None:
+            self._session.close()
+            self._session = None
 
     def result(self) -> JobAdaptationResult:
+        if self._session is not None:
+            self._pe_results = self._session.finish()
         if self._pe_results is not None:
             pe_results = dict(self._pe_results)
         else:
@@ -751,5 +741,7 @@ class JobAdaptationRunner:
             final_replicas=dict(self.replicas),
             final_threads=self._total_threads(),
             final_n_queues=self._total_queues(),
-            converged_throughput=self.trace.final_throughput(window=4),
+            converged_throughput=self.trace.final_throughput(
+                window=self.converged_window
+            ),
         )

@@ -257,7 +257,8 @@ class JobWorkerSession:
         return self.pool.recv(self._worker_of[pe_name])
 
     def finish(self) -> Dict[str, object]:
-        """Fetch every PE's final :class:`DesAdaptationResult`."""
+        """Fetch every PE's final
+        :class:`~repro.runtime.loop.ExecutionResult`."""
         for name in self._pe_names:
             self.pool.submit(self._worker_of[name], _finish_pe, name)
         return {

@@ -12,8 +12,11 @@ shared hub instead of the hub itself:
   (:attr:`~repro.obs.decisions.Decision.scope`), so one PE's R1-R5
   trace is recoverable from the merged log with a filter — the
   property the multi-PE equivalence tests pin;
-- everything else (clock, sequence numbers, trace events) forwards to
-  the underlying hub unchanged, preserving total ordering across PEs.
+- a scoped view does not own the clock: the job ticks the shared hub
+  once per period, so the view's :meth:`~ScopedObs.tick` and its
+  trace-event methods record nothing (per-PE observations and changes
+  stay in each runner's own trace, out of the shared log), while
+  decisions forward to the hub and keep its total ordering across PEs.
 
 Scopes nest: scoping an already-scoped view concatenates the prefixes
 (``pe.ingest`` then ``profiler`` gives ``pe.ingest.profiler``).  The
@@ -70,7 +73,7 @@ class ScopedObs:
         self.registry = ScopedRegistry(base.registry, scope)
 
     # ------------------------------------------------------------------
-    # clock / sequencing (shared with the job)
+    # clock (read from the job's hub, never advanced by a view)
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -81,7 +84,7 @@ class ScopedObs:
         return self.hub.period
 
     def tick(self, time_s: float) -> None:
-        self.hub.tick(time_s)
+        pass
 
     # ------------------------------------------------------------------
     # recording
@@ -90,14 +93,9 @@ class ScopedObs:
         kwargs.setdefault("scope", self.scope)
         return self.hub.decision(**kwargs)
 
-    def observation(self, **kwargs):
-        return self.hub.observation(**kwargs)
-
-    def thread_change(self, **kwargs):
-        return self.hub.thread_change(**kwargs)
-
-    def placement_change(self, **kwargs):
-        return self.hub.placement_change(**kwargs)
+    observation = staticmethod(NULL_HUB.observation)
+    thread_change = staticmethod(NULL_HUB.thread_change)
+    placement_change = staticmethod(NULL_HUB.placement_change)
 
     # ------------------------------------------------------------------
     # reading (decisions filtered to this scope; events shared)

@@ -191,7 +191,7 @@ def replay(experiment: str, args: argparse.Namespace) -> ObservabilityHub:
         args.duration if args.duration is not None else spec.duration_s
     )
     executor.run(
-        duration,
+        executor.periods_for(duration),
         stop_after_stable_periods=spec.stop_after_stable_periods,
     )
     return hub

@@ -19,23 +19,14 @@ from .regions import Region, RegionDecomposition, decompose
 from .snapshot import load_trace, save_trace, trace_from_dict, trace_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only
-    from .backend import (
-        AdaptationBackend,
-        BackendResult,
-        PerfModelAdaptationRunner,
-    )
-    from .executor import AdaptationExecutor, ExecutionResult, run_elastic
+    from .executor import AdaptationExecutor, run_elastic
+    from .loop import ElasticLoop, ExecutionResult
     from .pe import ProcessingElement
 
 _LAZY = {
-    "AdaptationBackend": ("repro.runtime.backend", "AdaptationBackend"),
-    "BackendResult": ("repro.runtime.backend", "BackendResult"),
-    "PerfModelAdaptationRunner": (
-        "repro.runtime.backend",
-        "PerfModelAdaptationRunner",
-    ),
     "AdaptationExecutor": ("repro.runtime.executor", "AdaptationExecutor"),
-    "ExecutionResult": ("repro.runtime.executor", "ExecutionResult"),
+    "ElasticLoop": ("repro.runtime.loop", "ElasticLoop"),
+    "ExecutionResult": ("repro.runtime.loop", "ExecutionResult"),
     "run_elastic": ("repro.runtime.executor", "run_elastic"),
     "ProcessingElement": ("repro.runtime.pe", "ProcessingElement"),
     "PeReport": ("repro.runtime.introspect", "PeReport"),
@@ -59,10 +50,8 @@ __all__ = [
     "Observation",
     "PlacementChange",
     "ThreadCountChange",
-    "AdaptationBackend",
-    "BackendResult",
-    "PerfModelAdaptationRunner",
     "AdaptationExecutor",
+    "ElasticLoop",
     "ExecutionResult",
     "run_elastic",
     "ProcessingElement",

@@ -1,11 +1,10 @@
-"""Virtual-clock adaptation executor.
+"""Virtual-clock adaptation on the analytical performance model.
 
-Drives the multi-level coordinator against a simulated PE: every
-``adaptation_period_s`` of virtual time, the executor observes the PE's
-throughput, feeds it to the coordinator and applies the returned
-configuration changes — exactly the paper's dedicated *adaptation
-thread* loop, but with simulated time so a 1000-second adaptation run
-finishes in milliseconds.
+:class:`AdaptationExecutor` is the :class:`~repro.runtime.loop.
+ElasticLoop` substrate over a simulated :class:`ProcessingElement`:
+each period's throughput comes from the performance model (with
+measurement noise), so a 1000-second adaptation run finishes in
+milliseconds.
 
 Workload schedules (Fig. 13) are supported through ``workload_events``:
 a list of ``(time_s, graph)`` pairs; at each event time the PE's graph
@@ -15,29 +14,21 @@ throughput signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..core.coordinator import CoordinatorAction, MultiLevelCoordinator
+from ..core.coordinator import MultiLevelCoordinator
 from ..graph.model import StreamGraph
-from ..obs.hub import Obs, ensure_hub
-from .events import AdaptationTrace
+from ..obs.hub import Obs
+from .loop import ElasticLoop, ExecutionResult
 from .pe import ProcessingElement
 
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    """Outcome of an elastic run."""
-
-    trace: AdaptationTrace
-    final_threads: int
-    final_n_queues: int
-    final_dynamic_ratio: float
-    converged_throughput: float
+__all__ = ["AdaptationExecutor", "ExecutionResult", "run_elastic"]
 
 
-class AdaptationExecutor:
-    """Runs the elastic adaptation loop over virtual time."""
+class AdaptationExecutor(ElasticLoop):
+    """Runs the elastic adaptation loop against a simulated PE."""
+
+    converged_window = 8
 
     def __init__(
         self,
@@ -47,112 +38,41 @@ class AdaptationExecutor:
         obs: Optional[Obs] = None,
     ) -> None:
         self.pe = pe
-        self._obs = ensure_hub(obs)
-        config = pe.config
-        if coordinator is None:
-            coordinator = MultiLevelCoordinator(
-                config=config.elasticity,
-                max_threads=config.effective_max_threads,
-                profile_provider=pe.profiling_groups,
-                seed=config.seed,
-                obs=self._obs,
-            )
-        self.coordinator = coordinator
-        self._workload_events = sorted(
-            workload_events or [], key=lambda ev: ev[0]
-        )
+        super().__init__(pe.config, obs, workload_events, coordinator)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        duration_s: float,
-        stop_after_stable_periods: Optional[int] = None,
-    ) -> ExecutionResult:
-        """Run the adaptation loop for ``duration_s`` of virtual time.
-
-        With ``stop_after_stable_periods`` set, the run ends early once
-        the coordinator has reported a stable configuration for that
-        many consecutive periods — convenient for converged-throughput
-        benchmarks where the tail of the run carries no information.
-        (Not used for workload-change experiments, which need to keep
-        monitoring.)
-        """
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {duration_s}")
-        period = self.pe.config.elasticity.adaptation_period_s
-        trace = AdaptationTrace.empty()
-        events = list(self._workload_events)
-        time_s = 0.0
-        stable_streak = 0
-        while time_s < duration_s:
-            if stop_after_stable_periods is not None and not events:
-                if self.coordinator.is_stable:
-                    stable_streak += 1
-                    if stable_streak >= stop_after_stable_periods:
-                        break
-                else:
-                    stable_streak = 0
-            time_s += period
-            while events and events[0][0] <= time_s:
-                _, new_graph = events.pop(0)
-                self.pe.set_graph(new_graph)
-            observed = self.pe.observe_throughput()
-            true = self.pe.true_throughput()
-            # The hub clock advances first so the period's observation,
-            # the coordinator's decision and any resulting changes all
-            # land in the same period of the unified log, in causal
-            # order (observation < decision < change).
-            self._obs.tick(time_s)
-            trace.observations.append(
-                self._obs.observation(
-                    time_s=time_s,
-                    throughput=observed,
-                    true_throughput=true,
-                    threads=self.pe.scheduler_threads,
-                    n_queues=self.pe.n_queues,
-                    mode=self.coordinator.mode.value,
-                )
-            )
-            action = self.coordinator.step(observed)
-            self._apply(action, time_s, trace)
-        return ExecutionResult(
-            trace=trace,
-            final_threads=self.pe.scheduler_threads,
-            final_n_queues=self.pe.n_queues,
-            final_dynamic_ratio=self.pe.dynamic_ratio(),
-            converged_throughput=trace.final_throughput(),
-        )
-
+    # substrate surface
     # ------------------------------------------------------------------
-    def _apply(
-        self,
-        action: CoordinatorAction,
-        time_s: float,
-        trace: AdaptationTrace,
-    ) -> None:
-        if action.set_threads is not None:
-            old = self.pe.scheduler_threads
-            if action.set_threads != old:
-                trace.thread_changes.append(
-                    self._obs.thread_change(
-                        time_s=time_s,
-                        old_threads=old,
-                        new_threads=action.set_threads,
-                    )
-                )
-                self.pe.set_scheduler_threads(action.set_threads)
-        if action.set_placement is not None:
-            old_q = self.pe.n_queues
-            new_q = action.set_placement.n_queues
-            if action.set_placement.queued != self.pe.placement.queued:
-                trace.placement_changes.append(
-                    self._obs.placement_change(
-                        time_s=time_s,
-                        old_n_queues=old_q,
-                        new_n_queues=new_q,
-                    )
-                )
-                self.pe.set_placement(action.set_placement)
+    @property
+    def graph(self) -> StreamGraph:
+        return self.pe.graph
+
+    @property
+    def machine(self):
+        return self.pe.machine
+
+    @property
+    def threads(self) -> int:
+        return self.pe.scheduler_threads
+
+    @property
+    def placement(self):
+        return self.pe.placement
+
+    def _profile_groups(self):
+        return self.pe.profiling_groups()
+
+    def measure(self) -> Tuple[float, float]:
+        return self.pe.observe_throughput(), self.pe.true_throughput()
+
+    def _set_graph(self, graph: StreamGraph) -> None:
+        self.pe.set_graph(graph)
+
+    def _set_threads(self, n: int) -> None:
+        self.pe.set_scheduler_threads(n)
+
+    def _set_placement(self, placement) -> None:
+        self.pe.set_placement(placement)
 
 
 def run_elastic(
@@ -161,7 +81,8 @@ def run_elastic(
     workload_events: Optional[Sequence[Tuple[float, StreamGraph]]] = None,
     obs: Optional[Obs] = None,
 ) -> ExecutionResult:
-    """Convenience wrapper: build an executor and run it.
+    """Convenience wrapper: adapt ``pe`` for ``duration_s`` of
+    simulated time, without an early stop.
 
     Pass an :class:`~repro.obs.ObservabilityHub` as ``obs`` to record
     metrics and the per-period decision log alongside the trace.
@@ -169,4 +90,6 @@ def run_elastic(
     executor = AdaptationExecutor(
         pe, workload_events=workload_events, obs=obs
     )
-    return executor.run(duration_s)
+    return executor.run(
+        executor.periods_for(duration_s), stop_after_stable_periods=None
+    )

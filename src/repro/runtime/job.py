@@ -127,7 +127,9 @@ class Job:
         )
         pe = ProcessingElement(capped, machine, config)
         executor = AdaptationExecutor(pe)
-        result = executor.run(duration_s, stop_after_stable_periods=16)
+        result = executor.run(
+            executor.periods_for(duration_s), stop_after_stable_periods=16
+        )
         return (
             result.converged_throughput,
             result.final_threads,

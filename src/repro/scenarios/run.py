@@ -7,16 +7,16 @@ scenario through either substrate:
   :class:`~repro.des.adaptation.DesAdaptationRunner`, with open-loop
   arrival streams, bounded queues and the configured overflow policy;
 - **perfmodel** — the analytical model via
-  :class:`~repro.runtime.pe.ProcessingElement` +
-  :class:`~repro.runtime.executor.AdaptationExecutor`, where the
-  compiler's source ``max_rate`` cap makes offered load the binding
-  constraint when the workload is lighter than the machine.
+  :class:`~repro.runtime.executor.AdaptationExecutor` over a
+  :class:`~repro.runtime.pe.ProcessingElement`, where the compiler's
+  source ``max_rate`` cap makes offered load the binding constraint
+  when the workload is lighter than the machine.
 
 Scenarios with a ``pes:`` block are dispatched to the multi-PE job
 executor (:class:`~repro.job.executor.JobAdaptationRunner`, DES
-only), and :func:`make_backend` hands any compiled scenario back as
-an :class:`~repro.runtime.backend.AdaptationBackend` without running
-it.
+only).  Every substrate is an :class:`~repro.runtime.loop.ElasticLoop`
+built in one place, and :func:`make_backend` hands it back without
+running it.
 
 Both paths publish decisions through the same
 :class:`~repro.obs.ObservabilityHub`, so a scenario's R1–R5 decision
@@ -94,6 +94,84 @@ def _warm_spec(compiled: CompiledScenario, explicit: Optional[str]):
     return WarmStartSpec(mode=mode, phase_rate=phase_rate)
 
 
+def _build(
+    compiled: CompiledScenario,
+    substrate: Backend,
+    obs: Optional[Obs],
+    jobs: Optional[int],
+    warm_start: Optional[str],
+):
+    """The one constructor per substrate: the perfmodel executor for
+    ``Backend.PERFMODEL``, otherwise the job runner for multi-PE
+    scenarios and the DES runner for single-PE ones; the resolved
+    warm-start policy is installed when it is not ``off``."""
+    run = compiled.scenario.run
+    if substrate is Backend.PERFMODEL:
+        from ..runtime.executor import AdaptationExecutor
+        from ..runtime.pe import ProcessingElement
+
+        runner = AdaptationExecutor(
+            ProcessingElement(
+                compiled.graph, compiled.machine, compiled.config
+            ),
+            obs=obs,
+        )
+    else:
+        des_kwargs = dict(
+            warmup_s=run.warmup_s,
+            measure_s=run.measure_s,
+            queue_capacity=run.queue_capacity,
+            profile_from_execution=run.profile_from_execution,
+            obs=obs,
+            arrivals_factory=compiled.arrivals_factory(),
+            arrivals_key=compiled.arrivals_key(),
+            overflow=compiled.overflow,
+            channel=compiled.channel,
+        )
+        if compiled.multi_pe:
+            from ..job.executor import JobAdaptationRunner
+
+            runner = JobAdaptationRunner(
+                compiled.job,
+                compiled.machine,
+                compiled.config,
+                jobs=jobs if jobs is not None else run.jobs,
+                **des_kwargs,
+            )
+        else:
+            from ..des.adaptation import DesAdaptationRunner
+
+            runner = DesAdaptationRunner(
+                compiled.graph,
+                compiled.machine,
+                compiled.config,
+                **des_kwargs,
+            )
+    spec = _warm_spec(compiled, warm_start)
+    if spec is not None:
+        runner.set_warm_start(spec)
+    return runner
+
+
+def make_backend(
+    compiled: CompiledScenario,
+    obs: Optional[Obs] = None,
+    jobs: Optional[int] = None,
+    warm_start: Optional[str] = None,
+):
+    """Construct the :class:`~repro.runtime.loop.ElasticLoop` a
+    compiled scenario runs on, without running it.
+
+    Returns a DES runner for single-PE DES scenarios, a job runner
+    for multi-PE ones, and the perfmodel executor otherwise — all
+    driven by the same ``run(max_periods, stop_after_stable_periods)``.
+    """
+    substrate = compiled.scenario.run.backend
+    if substrate is not Backend.PERFMODEL or compiled.multi_pe:
+        substrate = Backend.DES
+    return _build(compiled, substrate, obs, jobs, warm_start)
+
+
 def run_on_des(
     compiled: CompiledScenario,
     obs: Optional[Obs] = None,
@@ -108,32 +186,13 @@ def run_on_des(
     scenarios have nothing to parallelize and ignore it.
     ``warm_start`` overrides the scenario's ``run.warm_start``.
     """
-    from ..des.adaptation import DesAdaptationRunner
-
     if compiled.multi_pe:
         return run_on_job(
             compiled, obs=obs, jobs=jobs, warm_start=warm_start
         )
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    spec = _warm_spec(compiled, warm_start)
-    runner = DesAdaptationRunner(
-        compiled.graph,
-        compiled.machine,
-        compiled.config,
-        warmup_s=run.warmup_s,
-        measure_s=run.measure_s,
-        queue_capacity=run.queue_capacity,
-        profile_from_execution=run.profile_from_execution,
-        sampled_profiling=True,
-        obs=hub,
-        arrivals_factory=compiled.arrivals_factory(),
-        arrivals_key=compiled.arrivals_key(),
-        overflow=compiled.overflow,
-        channel=compiled.channel,
-    )
-    if spec is not None:
-        runner.set_warm_start(spec)
+    runner = _build(compiled, Backend.DES, hub, jobs, warm_start)
     result = runner.run(
         max_periods=run.max_periods,
         stop_after_stable_periods=run.stop_after_stable_periods,
@@ -144,7 +203,7 @@ def run_on_des(
         periods=len(result.trace.observations),
         converged_throughput=result.converged_throughput,
         final_threads=result.final_threads,
-        final_n_queues=result.final_placement.n_queues,
+        final_n_queues=result.final_n_queues,
         decisions=_decisions(hub),
         offered_utilization=runner.last_offered_utilization,
         dropped_tuples=_counter_value(hub, "des.dropped_tuples"),
@@ -167,8 +226,6 @@ def run_on_job(
     overrides the worker-pool width (explicit argument beats the
     scenario's ``run.jobs``, which beats ``REPRO_JOB_WORKERS``).
     """
-    from ..job.executor import JobAdaptationRunner
-
     if compiled.job is None:
         raise ValueError(
             f"scenario {compiled.scenario.name!r} declares no 'pes' "
@@ -176,25 +233,7 @@ def run_on_job(
         )
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    spec = _warm_spec(compiled, warm_start)
-    runner = JobAdaptationRunner(
-        compiled.job,
-        compiled.machine,
-        compiled.config,
-        warmup_s=run.warmup_s,
-        measure_s=run.measure_s,
-        queue_capacity=run.queue_capacity,
-        profile_from_execution=run.profile_from_execution,
-        sampled_profiling=True,
-        obs=hub,
-        arrivals_factory=compiled.arrivals_factory(),
-        arrivals_key=compiled.arrivals_key(),
-        overflow=compiled.overflow,
-        channel=compiled.channel,
-        jobs=jobs if jobs is not None else run.jobs,
-    )
-    if spec is not None:
-        runner.set_warm_start(spec)
+    runner = _build(compiled, Backend.DES, hub, jobs, warm_start)
     result = runner.run(
         max_periods=run.max_periods,
         stop_after_stable_periods=run.stop_after_stable_periods,
@@ -224,102 +263,18 @@ def run_on_job(
     )
 
 
-def make_backend(
-    compiled: CompiledScenario,
-    obs: Optional[Obs] = None,
-    jobs: Optional[int] = None,
-    warm_start: Optional[str] = None,
-):
-    """Construct the :class:`~repro.runtime.backend.AdaptationBackend`
-    a compiled scenario runs on, without running it.
-
-    Returns a DES runner for single-PE DES scenarios, a job runner
-    for multi-PE ones, and a perfmodel adapter otherwise — all
-    satisfying the same ``run(max_periods, stop_after_stable_periods)``
-    protocol.
-    """
-    run = compiled.scenario.run
-    spec = _warm_spec(compiled, warm_start)
-    if compiled.multi_pe:
-        from ..job.executor import JobAdaptationRunner
-
-        return JobAdaptationRunner(
-            compiled.job,
-            compiled.machine,
-            compiled.config,
-            warmup_s=run.warmup_s,
-            measure_s=run.measure_s,
-            queue_capacity=run.queue_capacity,
-            profile_from_execution=run.profile_from_execution,
-            obs=obs,
-            arrivals_factory=compiled.arrivals_factory(),
-            arrivals_key=compiled.arrivals_key(),
-            overflow=compiled.overflow,
-            channel=compiled.channel,
-            jobs=jobs if jobs is not None else run.jobs,
-            warm_start=spec,
-        )
-    if compiled.scenario.run.backend is Backend.PERFMODEL:
-        from ..runtime.backend import PerfModelAdaptationRunner
-
-        return PerfModelAdaptationRunner(
-            compiled.graph,
-            compiled.machine,
-            compiled.config,
-            duration_s=run.duration_s,
-            obs=obs,
-            warm_start=spec,
-        )
-    from ..des.adaptation import DesAdaptationRunner
-
-    return DesAdaptationRunner(
-        compiled.graph,
-        compiled.machine,
-        compiled.config,
-        warmup_s=run.warmup_s,
-        measure_s=run.measure_s,
-        queue_capacity=run.queue_capacity,
-        profile_from_execution=run.profile_from_execution,
-        obs=obs,
-        arrivals_factory=compiled.arrivals_factory(),
-        arrivals_key=compiled.arrivals_key(),
-        overflow=compiled.overflow,
-        channel=compiled.channel,
-        warm_start=spec,
-    )
-
-
 def run_on_perfmodel(
     compiled: CompiledScenario,
     obs: Optional[Obs] = None,
     warm_start: Optional[str] = None,
 ) -> ScenarioRunResult:
-    """Run the scenario's adaptation loop on the analytical model."""
-    from ..runtime.executor import AdaptationExecutor
-    from ..runtime.pe import ProcessingElement
-
+    """Run the scenario's adaptation loop on the analytical model for
+    ``run.duration_s`` of simulated time."""
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    pe = ProcessingElement(
-        compiled.graph, compiled.machine, compiled.config
-    )
-    executor = AdaptationExecutor(pe, obs=hub)
-    spec = _warm_spec(compiled, warm_start)
-    if spec is not None:
-        from ..core.warmstart import make_runner_session
-
-        executor.coordinator.set_warm_start(
-            make_runner_session(
-                spec,
-                graph_fn=lambda: pe.graph,
-                machine=pe.machine,
-                config=compiled.config,
-                phase_token=lambda: "steady",
-                obs=hub,
-            )
-        )
-    result = executor.run(
-        duration_s=run.duration_s,
+    runner = _build(compiled, Backend.PERFMODEL, hub, None, warm_start)
+    result = runner.run(
+        runner.periods_for(run.duration_s),
         stop_after_stable_periods=run.stop_after_stable_periods,
     )
     # The analytical model has no transient queue state to overflow;

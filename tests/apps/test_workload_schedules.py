@@ -61,7 +61,9 @@ class TestDiurnalCycle:
             steps_per_cycle=4,
         )
         executor = AdaptationExecutor(pe, workload_events=events)
-        result = executor.run(4000)
+        result = executor.run(
+            executor.periods_for(4000), stop_after_stable_periods=None
+        )
         changes = (
             result.trace.thread_changes
             + result.trace.placement_changes

@@ -13,7 +13,7 @@ from repro.runtime import (
     ProcessingElement,
     RuntimeConfig,
 )
-from repro.runtime.executor import AdaptationExecutor
+from repro.runtime.executor import run_elastic
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def trace(small_machine, fast_config):
     pe = ProcessingElement(
         pipeline(10, cost_flops=2000.0), small_machine, fast_config
     )
-    return AdaptationExecutor(pe).run(800).trace
+    return run_elastic(pe, 800).trace
 
 
 class TestRenderTimeline:
@@ -61,7 +61,7 @@ class TestRenderTimeline:
         pe = ProcessingElement(
             pipeline(10, cost_flops=2000.0), small_machine, fast_config
         )
-        long_trace = AdaptationExecutor(pe).run(50_000).trace
+        long_trace = run_elastic(pe, 50_000).trace
         out = render_timeline(long_trace, width=60)
         for line in out.splitlines():
             assert len(line) < 130

@@ -112,6 +112,8 @@ class TestWithExecutor:
             seed=1,
         )
         executor = AdaptationExecutor(pe, coordinator=coordinator)
-        result = executor.run(6000, stop_after_stable_periods=12)
+        result = executor.run(
+            executor.periods_for(6000), stop_after_stable_periods=12
+        )
         # The rejected design still works; it is just slower/noisier.
         assert result.converged_throughput > 1.3 * manual

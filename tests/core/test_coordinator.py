@@ -219,6 +219,8 @@ class TestEndToEnd:
         pe = ProcessingElement(graph, small_machine, config)
         manual = pe.true_throughput()
         executor = AdaptationExecutor(pe)
-        result = executor.run(4000, stop_after_stable_periods=12)
+        result = executor.run(
+            executor.periods_for(4000), stop_after_stable_periods=12
+        )
         assert result.converged_throughput > 2.0 * manual
         assert 1 <= result.final_threads <= 8

@@ -26,7 +26,7 @@ def result_and_manual():
         warmup_s=0.001,
         measure_s=0.004,
     )
-    manual = runner.measure()
+    manual, _true = runner.measure()
     result = runner.run(max_periods=60)
     return result, manual
 
@@ -107,6 +107,6 @@ class TestExecutionProfiling:
             measure_s=0.004,
             profile_from_execution=True,
         )
-        manual = runner.measure()
+        manual, _true = runner.measure()
         result = runner.run(max_periods=50)
         assert result.converged_throughput > 1.4 * manual

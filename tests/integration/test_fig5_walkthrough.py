@@ -79,7 +79,9 @@ class TestSnapshotEF:
         config = RuntimeConfig(cores=8, seed=11)
         pe = ProcessingElement(graph, machine, config)
         executor = AdaptationExecutor(pe)
-        result = executor.run(8000, stop_after_stable_periods=12)
+        result = executor.run(
+            executor.periods_for(8000), stop_after_stable_periods=12
+        )
         trace = result.trace
         assert executor.coordinator.is_stable
         # The converged throughput equals the best sustained level of

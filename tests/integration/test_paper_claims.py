@@ -124,7 +124,9 @@ class TestFig13PhaseChange:
         executor = AdaptationExecutor(
             pe, workload_events=workload.events()
         )
-        result = executor.run(3000)
+        result = executor.run(
+            executor.periods_for(3000), stop_after_stable_periods=None
+        )
         trace = result.trace
         before = [o for o in trace.observations if o.time_s < 600]
         after = [o for o in trace.observations if o.time_s >= 900]

@@ -28,7 +28,9 @@ def converged():
     )
     manual = pe.true_throughput()
     executor = AdaptationExecutor(pe)
-    result = executor.run(10_000, stop_after_stable_periods=16)
+    result = executor.run(
+        executor.periods_for(10_000), stop_after_stable_periods=16
+    )
     return graph, pe, manual, result
 
 

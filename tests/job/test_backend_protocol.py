@@ -1,4 +1,4 @@
-"""AdaptationBackend: every substrate satisfies the same protocol."""
+"""ElasticLoop: every substrate runs through the same loop surface."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ from repro.graph import pipeline
 from repro.job.executor import JobAdaptationRunner
 from repro.job.graph import build_job_graph
 from repro.perfmodel import laptop
-from repro.runtime import RuntimeConfig
-from repro.runtime.backend import (
-    AdaptationBackend,
-    BackendResult,
-    PerfModelAdaptationRunner,
-)
+from repro.runtime import ProcessingElement, RuntimeConfig
+from repro.runtime.executor import AdaptationExecutor
+from repro.runtime.loop import ElasticLoop, ExecutionResult
 from repro.des.adaptation import DesAdaptationRunner
 from repro.scenarios.schema import PeSpec
 
@@ -24,9 +21,16 @@ def pipe4():
     return pipeline(4, cost_flops=1000.0, payload_bytes=128)
 
 
+def _perfmodel(graph, config=None, obs=None):
+    config = config if config is not None else RuntimeConfig(seed=3)
+    return AdaptationExecutor(
+        ProcessingElement(graph, laptop(4), config), obs=obs
+    )
+
+
 def test_des_runner_is_a_backend(pipe4):
     runner = DesAdaptationRunner(pipe4, laptop(4), RuntimeConfig(seed=3))
-    assert isinstance(runner, AdaptationBackend)
+    assert isinstance(runner, ElasticLoop)
 
 
 def test_job_runner_is_a_backend(pipe4):
@@ -38,14 +42,11 @@ def test_job_runner_is_a_backend(pipe4):
         ),
     )
     runner = JobAdaptationRunner(job, laptop(4), RuntimeConfig(seed=3))
-    assert isinstance(runner, AdaptationBackend)
+    assert isinstance(runner, ElasticLoop)
 
 
 def test_perfmodel_adapter_is_a_backend(pipe4):
-    runner = PerfModelAdaptationRunner(
-        pipe4, laptop(4), RuntimeConfig(seed=3)
-    )
-    assert isinstance(runner, AdaptationBackend)
+    assert isinstance(_perfmodel(pipe4), ElasticLoop)
 
 
 @pytest.mark.parametrize("substrate", ["des", "perfmodel"])
@@ -60,15 +61,13 @@ def test_backends_return_conforming_results(pipe4, substrate):
             measure_s=0.004,
         )
     else:
-        runner = PerfModelAdaptationRunner(
-            pipe4, laptop(4), RuntimeConfig(seed=3)
-        )
+        runner = _perfmodel(pipe4)
     result = runner.run(max_periods=4, stop_after_stable_periods=None)
-    assert isinstance(result, BackendResult)
+    assert isinstance(result, ExecutionResult)
     assert result.final_threads >= 1
     assert result.final_n_queues >= 0
     assert result.converged_throughput > 0
-    assert len(result.trace.observations) >= 1
+    assert len(result.trace.observations) == 4
 
 
 def test_job_result_conforms(pipe4):
@@ -88,26 +87,23 @@ def test_job_result_conforms(pipe4):
         measure_s=0.004,
     )
     result = runner.run(max_periods=3, stop_after_stable_periods=None)
-    assert isinstance(result, BackendResult)
+    assert len(result.trace.observations) == 3
+    assert result.final_threads >= 1
+    assert result.final_n_queues >= 0
     assert result.converged_throughput > 0
 
 
 def test_perfmodel_adapter_converts_periods_to_duration(pipe4):
     config = RuntimeConfig(seed=3)
-    runner = PerfModelAdaptationRunner(
-        pipe4, laptop(4), config, duration_s=50.0
-    )
+    runner = _perfmodel(pipe4, config)
     period_s = config.elasticity.adaptation_period_s
     result = runner.run(max_periods=4, stop_after_stable_periods=None)
-    assert (
-        len(result.trace.observations)
-        <= 4 * period_s / period_s + 1
-    )
-    # max_periods=None falls back to the constructed duration.
-    fallback = PerfModelAdaptationRunner(
-        pipe4, laptop(4), config, duration_s=2 * period_s
-    ).run(stop_after_stable_periods=None)
-    assert len(fallback.trace.observations) >= 1
+    assert [o.time_s for o in result.trace.observations] == [
+        k * period_s for k in range(1, 5)
+    ]
+    # Callers that think in seconds convert once, to covering periods.
+    assert runner.periods_for(10 * period_s) == 10
+    assert runner.periods_for(2 * period_s + 0.5) == 3
 
 
 def test_make_backend_dispatch(tmp_path):
@@ -121,10 +117,12 @@ def test_make_backend_dispatch(tmp_path):
     job = compile_scenario(
         load_scenario("scenarios/fig07-2pe-passthrough.yaml")
     )
-    assert isinstance(make_backend(des), AdaptationBackend)
-    backend = make_backend(job)
-    assert isinstance(backend, JobAdaptationRunner)
-    assert isinstance(backend, AdaptationBackend)
+    perfmodel = compile_scenario(
+        load_scenario("scenarios/diurnal-perfmodel.yaml")
+    )
+    assert isinstance(make_backend(des), DesAdaptationRunner)
+    assert isinstance(make_backend(job), JobAdaptationRunner)
+    assert isinstance(make_backend(perfmodel), AdaptationExecutor)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +138,7 @@ def _job(pipe4):
     )
 
 
-def _make(substrate, pipe4, hub=None, **kw):
+def _make(substrate, pipe4, hub=None):
     if substrate == "des":
         return DesAdaptationRunner(
             pipe4,
@@ -149,7 +147,6 @@ def _make(substrate, pipe4, hub=None, **kw):
             warmup_s=0.001,
             measure_s=0.004,
             obs=hub,
-            **kw,
         )
     if substrate == "job":
         return JobAdaptationRunner(
@@ -159,11 +156,8 @@ def _make(substrate, pipe4, hub=None, **kw):
             warmup_s=0.001,
             measure_s=0.004,
             obs=hub,
-            **kw,
         )
-    return PerfModelAdaptationRunner(
-        pipe4, laptop(4), RuntimeConfig(seed=3), obs=hub, **kw
-    )
+    return _perfmodel(pipe4, obs=hub)
 
 
 SUBSTRATES = ["des", "perfmodel", "job"]

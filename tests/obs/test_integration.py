@@ -4,19 +4,26 @@ The contract under test is the one docs/OBSERVABILITY.md promises:
 one coordinator Decision per adaptation period, a closed rule
 vocabulary, every applied configuration change attributable to the
 decision immediately preceding it — and byte-identical behaviour when
-the hub is detached.
+the hub is detached.  The per-period contract holds on every
+substrate of the elastic loop: the analytical model, the DES, and a
+multi-PE job, whose clock ticks once per job period.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench import cache
+from repro.des.adaptation import DesAdaptationRunner
 from repro.graph.topologies import pipeline
+from repro.job.executor import JobAdaptationRunner
+from repro.job.graph import build_job_graph
 from repro.obs import VALID_RULES, Decision, LoggedEvent, ObservabilityHub
 from repro.perfmodel.machine import laptop
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import run_elastic
 from repro.runtime.pe import ProcessingElement
+from repro.scenarios.schema import PeSpec
 
 
 def _pe(seed: int = 0) -> ProcessingElement:
@@ -27,6 +34,21 @@ def _pe(seed: int = 0) -> ProcessingElement:
     )
 
 
+def _des_run(hub):
+    cache.clear()
+    runner = DesAdaptationRunner(
+        pipeline(6, cost_flops=2000.0, payload_bytes=256),
+        laptop(cores=4),
+        RuntimeConfig(cores=4, seed=0),
+        warmup_s=0.001,
+        measure_s=0.004,
+        obs=hub,
+    )
+    result = runner.run(max_periods=30, stop_after_stable_periods=None)
+    cache.clear()
+    return result
+
+
 @pytest.fixture(scope="module")
 def observed_run():
     hub = ObservabilityHub()
@@ -34,31 +56,71 @@ def observed_run():
     return hub, result
 
 
+@pytest.fixture(scope="module", params=["perfmodel", "des"])
+def substrate_run(request, observed_run):
+    if request.param == "perfmodel":
+        return observed_run
+    hub = ObservabilityHub()
+    return hub, _des_run(hub)
+
+
 class TestDecisionPerPeriod:
-    def test_exactly_one_decision_per_adaptation_period(self, observed_run):
-        hub, _result = observed_run
+    def test_exactly_one_decision_per_adaptation_period(self, substrate_run):
+        hub, result = substrate_run
         observations = hub.events("observation")
         decisions = hub.decisions()
         assert len(observations) > 0
+        assert len(observations) == len(result.trace.observations)
         assert len(decisions) == len(observations)
-        # Periods are consecutive, one decision each.
+        # Periods are consecutive, one decision each, stamped with the
+        # period's end on the loop clock.
         assert [d.period for d in decisions] == list(range(len(decisions)))
+        assert [d.time_s for d in decisions] == [
+            o.time_s for o in result.trace.observations
+        ]
 
     def test_every_rule_is_in_the_closed_vocabulary(self, observed_run):
         hub, _result = observed_run
         for decision in hub.decisions():
             assert decision.rule in VALID_RULES
 
-    def test_metrics_agree_with_the_log(self, observed_run):
-        hub, _result = observed_run
+    def test_metrics_agree_with_the_log(self, substrate_run):
+        hub, result = substrate_run
         reg = hub.registry
         assert reg.get("loop.decisions").value == len(hub.decisions())
         assert reg.get("loop.periods").value == len(
             hub.events("observation")
         )
+        assert reg.get("loop.periods").value == len(
+            result.trace.observations
+        )
         assert reg.get("loop.thread_changes").value == len(
             hub.events("thread_change")
         )
+
+    def test_job_ticks_once_per_job_period(self):
+        cache.clear()
+        hub = ObservabilityHub()
+        job = build_job_graph(
+            pipeline(4, cost_flops=1000.0, payload_bytes=128),
+            (
+                PeSpec(name="a", operators=("src", "op0", "op1")),
+                PeSpec(name="b", operators=("op2", "op3", "snk")),
+            ),
+        )
+        result = JobAdaptationRunner(
+            job,
+            laptop(4),
+            RuntimeConfig(seed=3),
+            warmup_s=0.001,
+            measure_s=0.004,
+            obs=hub,
+        ).run(max_periods=5, stop_after_stable_periods=None)
+        cache.clear()
+        assert len(result.trace.observations) == 5
+        # The per-PE loops run on scoped views that never tick.
+        assert hub.registry.get("loop.periods").value == 5
+        assert hub.events("observation") == ()
 
 
 class TestCausalOrdering:

@@ -78,8 +78,9 @@ def test_fig13_phase_change():
         RuntimeConfig(cores=machine.logical_cores, seed=0),
     )
     hub = ObservabilityHub()
-    AdaptationExecutor(pe, workload_events=workload.events(), obs=hub).run(
-        4000.0
+    executor = AdaptationExecutor(
+        pe, workload_events=workload.events(), obs=hub
     )
+    executor.run(executor.periods_for(4000.0), stop_after_stable_periods=None)
     assert len(hub.decisions()) == FIG13_DECISIONS
     assert _digest(hub) == FIG13_DIGEST

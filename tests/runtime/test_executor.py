@@ -24,25 +24,37 @@ class TestRun:
     def test_rejects_nonpositive_duration(self, pe):
         with pytest.raises(ValueError):
             AdaptationExecutor(pe).run(0)
+        with pytest.raises(ValueError):
+            run_elastic(pe, duration_s=0)
 
     def test_observation_cadence(self, pe):
-        result = AdaptationExecutor(pe).run(100)
+        result = AdaptationExecutor(pe).run(
+            20, stop_after_stable_periods=None
+        )
         times = [o.time_s for o in result.trace.observations]
         assert times == [5.0 * i for i in range(1, 21)]
 
+    def test_duration_converts_to_covering_periods(self, pe):
+        ex = AdaptationExecutor(pe)
+        assert ex.periods_for(100) == 20
+        assert ex.periods_for(101) == 21
+        assert len(run_elastic(pe, 101).trace.observations) == 21
+
     def test_improves_over_manual(self, pe):
         manual = pe.true_throughput()
-        result = AdaptationExecutor(pe).run(2000)
+        result = run_elastic(pe, 2000)
         assert result.converged_throughput > manual
 
     def test_trace_records_changes(self, pe):
-        result = AdaptationExecutor(pe).run(2000)
+        result = run_elastic(pe, 2000)
         assert result.trace.thread_changes
         assert result.trace.placement_changes
 
     def test_stop_after_stable(self, pe):
         ex = AdaptationExecutor(pe)
-        result = ex.run(100_000, stop_after_stable_periods=5)
+        result = ex.run(
+            ex.periods_for(100_000), stop_after_stable_periods=5
+        )
         assert result.trace.duration_s < 100_000
         assert ex.coordinator.is_stable
 
@@ -51,7 +63,7 @@ class TestRun:
     ):
         def once():
             pe = ProcessingElement(chain10, small_machine, fast_config)
-            return AdaptationExecutor(pe).run(1000)
+            return run_elastic(pe, 1000)
 
         a, b = once(), once()
         assert a.final_threads == b.final_threads
@@ -74,7 +86,7 @@ class TestWorkloadEvents:
         ex = AdaptationExecutor(
             pe, workload_events=[(500.0, heavier)]
         )
-        ex.run(600)
+        ex.run(ex.periods_for(600), stop_after_stable_periods=None)
         assert pe.graph is heavier
 
     def test_throughput_drops_after_heavier_workload(
@@ -83,7 +95,9 @@ class TestWorkloadEvents:
         pe = ProcessingElement(chain10, small_machine, fast_config)
         heavier = scaled_workload(chain10, 100.0)
         ex = AdaptationExecutor(pe, workload_events=[(300.0, heavier)])
-        result = ex.run(400)
+        result = ex.run(
+            ex.periods_for(400), stop_after_stable_periods=None
+        )
         before = [
             o.true_throughput
             for o in result.trace.observations
@@ -102,7 +116,9 @@ class TestWorkloadEvents:
         pe = ProcessingElement(chain10, small_machine, fast_config)
         heavier = scaled_workload(chain10, 100.0)
         ex = AdaptationExecutor(pe, workload_events=[(800.0, heavier)])
-        result = ex.run(4000)
+        result = ex.run(
+            ex.periods_for(4000), stop_after_stable_periods=None
+        )
         # Changes must occur after the workload swap (re-adaptation).
         changes_after = [
             c

@@ -16,7 +16,7 @@ from repro.runtime import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.runtime.executor import AdaptationExecutor
+from repro.runtime.executor import run_elastic
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def trace(small_machine, fast_config):
     pe = ProcessingElement(
         pipeline(10, cost_flops=2000.0), small_machine, fast_config
     )
-    return AdaptationExecutor(pe).run(600).trace
+    return run_elastic(pe, 600).trace
 
 
 class TestRoundTrip:
