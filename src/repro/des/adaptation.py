@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 from ..bench import cache
 from ..core.binning import ProfilingGroup, build_groups
 from ..core.profiler import CostProfile, SamplingProfiler
-from ..core.warmstart import WarmStartSpec, quantize_rate
+from ..core.warmstart import quantize_rate
 from ..graph.model import StreamGraph
 from ..obs.hub import Obs
 from ..perfmodel.machine import MachineProfile
@@ -85,7 +85,6 @@ class DesAdaptationRunner(ElasticLoop):
         arrivals_key: Optional[Tuple] = None,
         overflow: str = "block",
         channel: Optional[ChannelConfig] = None,
-        warm_start: Optional[WarmStartSpec] = None,
     ) -> None:
         """``arrivals_factory`` makes measurement periods *open-loop*:
         each period's engine gets fresh arrival streams starting at the
@@ -142,8 +141,6 @@ class DesAdaptationRunner(ElasticLoop):
         # the job executor compares this rate against the ingress rate
         # it installed to recover the true shortfall.
         self.last_source_rate = 0.0
-        if warm_start is not None:
-            self.set_warm_start(warm_start)
         self._m_offered_util = self._hub.registry.gauge(
             "des.offered_utilization",
             "fraction of the offered open-loop load the PE admitted "

@@ -185,11 +185,12 @@ def build_pe_runner(
     arrivals_factory,
     arrivals_key: Optional[Tuple],
     obs: Optional[Obs],
+    warm_spec: Optional[WarmStartSpec],
 ) -> DesAdaptationRunner:
     """One PE's runner, identical whether built in the parent or in a
     pool worker (given the same picklable arguments)."""
     pe_config = replace(config, seed=pe_seed(config, index))
-    return DesAdaptationRunner(
+    runner = DesAdaptationRunner(
         pe.graph,
         machine,
         pe_config,
@@ -198,6 +199,9 @@ def build_pe_runner(
         arrivals_key=real_source_key(arrivals_factory, arrivals_key, pe),
         **runner_kwargs,
     )
+    if warm_spec is not None:
+        runner.set_warm_start(warm_spec)
+    return runner
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,6 @@ class JobAdaptationRunner(ElasticLoop):
         channel: Optional[ChannelConfig] = None,
         thread_budget: Optional[int] = None,
         jobs: Optional[int] = None,
-        warm_start: Optional[WarmStartSpec] = None,
     ) -> None:
         self.job = job
         self.machine = machine
@@ -259,10 +262,6 @@ class JobAdaptationRunner(ElasticLoop):
         # Worker-pool width: the ``jobs`` argument (e.g. the CLI's
         # ``--jobs``) wins, then REPRO_JOB_WORKERS, then 1 (sequential).
         self.jobs = job_workers(jobs)
-        # The warm-start spec rides inside runner_kwargs, so per-PE
-        # runners built parent-side AND in pool workers seed their
-        # coordinators identically (the spec is picklable by design).
-        self._warm_spec = warm_start
         self._runner_kwargs = dict(
             warmup_s=warmup_s,
             measure_s=measure_s,
@@ -271,7 +270,6 @@ class JobAdaptationRunner(ElasticLoop):
             sampled_profiling=sampled_profiling,
             overflow=overflow,
             channel=channel,
-            warm_start=warm_start,
         )
         # JOB-level posterior: converged replica counts per phase.
         self._job_store = self._make_job_store()
@@ -293,6 +291,7 @@ class JobAdaptationRunner(ElasticLoop):
                 arrivals_factory,
                 arrivals_key,
                 self._hub,
+                self._warm_spec,
             )
         self._routers: Dict[int, Router] = {}
         self._rebuild_routers()
@@ -323,10 +322,10 @@ class JobAdaptationRunner(ElasticLoop):
     # ------------------------------------------------------------------
     def set_warm_start(self, spec: Optional[WarmStartSpec]) -> None:
         """Install (or clear) warm-start on every per-PE runner and on
-        the job-level replica posterior.  Updates ``_runner_kwargs`` so
-        pool workers spawned later build identically-seeded runners."""
+        the job-level replica posterior.  Pool workers spawned later
+        receive the same spec, so they build identically-seeded
+        runners (the spec is picklable by design)."""
         self._warm_spec = spec
-        self._runner_kwargs["warm_start"] = spec
         for runner in self.runners.values():
             runner.set_warm_start(spec)
         self._job_store = self._make_job_store()
@@ -525,6 +524,7 @@ class JobAdaptationRunner(ElasticLoop):
                 runner_kwargs=self._runner_kwargs,
                 arrivals_factory=self._arrivals_factory,
                 arrivals_key=self._arrivals_key,
+                warm_spec=self._warm_spec,
                 detached=not self._hub.enabled,
                 n_workers=n_workers,
             )

@@ -34,6 +34,7 @@ exit code; a worker-side exception ships its full traceback.
 from __future__ import annotations
 
 import pickle
+from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
 from ..bench import cache
@@ -56,18 +57,9 @@ def _decision_fields(d: Decision) -> Dict:
     period) — exactly the keyword set ``ObservabilityHub.decision``
     accepts, so the parent can replay it under its own clock."""
     return {
-        "component": d.component,
-        "mode": d.mode,
-        "rule": d.rule,
-        "detail": d.detail,
-        "observed": d.observed,
-        "trend": d.trend,
-        "history_hit": d.history_hit,
-        "satisfaction": d.satisfaction,
-        "set_threads": d.set_threads,
-        "set_n_queues": d.set_n_queues,
-        "note": d.note,
-        "scope": d.scope,
+        f.name: getattr(d, f.name)
+        for f in fields(Decision)
+        if f.name not in ("seq", "time_s", "period")
     }
 
 
@@ -93,6 +85,7 @@ def _init_job_worker(
     runner_kwargs,
     arrivals_factory,
     arrivals_key,
+    warm_spec,
     detached: bool,
     n_workers: int,
 ) -> _WorkerState:
@@ -113,6 +106,7 @@ def _init_job_worker(
             arrivals_factory,
             arrivals_key,
             hub,
+            warm_spec,
         )
         state.pes[pe.name] = pe
         state.seeds[pe.name] = pe_seed(config, i)
@@ -218,6 +212,7 @@ class JobWorkerSession:
         runner_kwargs,
         arrivals_factory,
         arrivals_key,
+        warm_spec,
         detached: bool,
         n_workers: int,
     ) -> None:
@@ -235,6 +230,7 @@ class JobWorkerSession:
                 runner_kwargs,
                 arrivals_factory,
                 arrivals_key,
+                warm_spec,
                 detached,
                 n_workers,
             ),

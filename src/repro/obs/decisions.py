@@ -17,7 +17,7 @@ every tag being documented here and in docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import FrozenSet, Optional
 
 # ----------------------------------------------------------------------
@@ -76,6 +76,17 @@ JOB_RULES: FrozenSet[str] = frozenset(
 )
 
 VALID_RULES: FrozenSet[str] = TM_RULES | F7_BRANCHES | ALT_BRANCHES | JOB_RULES
+
+
+#: What :meth:`Decision.from_dict` fills in for fields an older log
+#: omits.
+_FROM_DICT_DEFAULTS = {
+    "satisfaction": None,
+    "set_threads": None,
+    "set_n_queues": None,
+    "note": "",
+    "scope": "",
+}
 
 
 @dataclass(frozen=True)
@@ -159,35 +170,8 @@ class Decision:
 
     @staticmethod
     def from_dict(data: dict) -> "Decision":
-        return Decision(
-            seq=int(data["seq"]),
-            time_s=float(data["time_s"]),
-            period=int(data["period"]),
-            component=str(data["component"]),
-            mode=str(data["mode"]),
-            rule=str(data["rule"]),
-            detail=str(data["detail"]),
-            observed=float(data["observed"]),
-            trend=str(data["trend"]),
-            history_hit=bool(data["history_hit"]),
-            satisfaction=(
-                None
-                if data.get("satisfaction") is None
-                else float(data["satisfaction"])
-            ),
-            set_threads=(
-                None
-                if data.get("set_threads") is None
-                else int(data["set_threads"])
-            ),
-            set_n_queues=(
-                None
-                if data.get("set_n_queues") is None
-                else int(data["set_n_queues"])
-            ),
-            note=str(data.get("note", "")),
-            scope=str(data.get("scope", "")),
-        )
+        record = {**_FROM_DICT_DEFAULTS, **data}
+        return Decision(**{f.name: record[f.name] for f in fields(Decision)})
 
 
 @dataclass(frozen=True)

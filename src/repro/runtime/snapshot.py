@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import asdict, fields
 from typing import Union
 
 from .events import (
@@ -25,38 +26,17 @@ FORMAT_VERSION = 1
 PathLike = Union[str, pathlib.Path]
 
 
+#: The trace's event lists and the record type each one holds.
+_SECTIONS = (
+    ("observations", Observation),
+    ("thread_changes", ThreadCountChange),
+    ("placement_changes", PlacementChange),
+)
+
+
 def trace_to_dict(trace: AdaptationTrace) -> dict:
     """Convert a trace to a JSON-serializable dictionary."""
-    return {
-        "version": FORMAT_VERSION,
-        "observations": [
-            {
-                "time_s": o.time_s,
-                "throughput": o.throughput,
-                "true_throughput": o.true_throughput,
-                "threads": o.threads,
-                "n_queues": o.n_queues,
-                "mode": o.mode,
-            }
-            for o in trace.observations
-        ],
-        "thread_changes": [
-            {
-                "time_s": c.time_s,
-                "old_threads": c.old_threads,
-                "new_threads": c.new_threads,
-            }
-            for c in trace.thread_changes
-        ],
-        "placement_changes": [
-            {
-                "time_s": c.time_s,
-                "old_n_queues": c.old_n_queues,
-                "new_n_queues": c.new_n_queues,
-            }
-            for c in trace.placement_changes
-        ],
-    }
+    return {"version": FORMAT_VERSION, **asdict(trace)}
 
 
 def trace_from_dict(data: dict) -> AdaptationTrace:
@@ -68,32 +48,11 @@ def trace_from_dict(data: dict) -> AdaptationTrace:
             f"(expected {FORMAT_VERSION})"
         )
     trace = AdaptationTrace.empty()
-    for o in data["observations"]:
-        trace.observations.append(
-            Observation(
-                time_s=float(o["time_s"]),
-                throughput=float(o["throughput"]),
-                true_throughput=float(o["true_throughput"]),
-                threads=int(o["threads"]),
-                n_queues=int(o["n_queues"]),
-                mode=str(o["mode"]),
-            )
-        )
-    for c in data["thread_changes"]:
-        trace.thread_changes.append(
-            ThreadCountChange(
-                time_s=float(c["time_s"]),
-                old_threads=int(c["old_threads"]),
-                new_threads=int(c["new_threads"]),
-            )
-        )
-    for c in data["placement_changes"]:
-        trace.placement_changes.append(
-            PlacementChange(
-                time_s=float(c["time_s"]),
-                old_n_queues=int(c["old_n_queues"]),
-                new_n_queues=int(c["new_n_queues"]),
-            )
+    for section, event_type in _SECTIONS:
+        names = [f.name for f in fields(event_type)]
+        getattr(trace, section).extend(
+            event_type(**{name: record[name] for name in names})
+            for record in data[section]
         )
     return trace
 

@@ -10,9 +10,14 @@ be > 0, got -5.0").
 
 The schema deliberately mirrors the shape of AsyncFlow's Pydantic
 ``SimulationPayload`` (workload profile / topology graph / settings)
-without the dependency: every leaf is validated in
-:func:`scenario_from_dict` with a dotted field path, and every enum
-error lists the accepted values.
+without the dependency.  A field's rules live on the dataclass that
+owns it: its type annotation, its default (no default = required),
+its bounds as :func:`_field` metadata and, for rules that span several
+fields, the dataclass's ``_check(path)``.  :func:`scenario_from_dict`
+applies them all through one generic decoder that rejects unknown
+keys; every error names a dotted, indexed path
+(``topology.edges[0][1]``) and every enum error lists the accepted
+values.
 
 Layers
 ------
@@ -32,8 +37,22 @@ Layers
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+import functools
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import (
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
+
+from ..core.warmstart import VALID_MODES
+from ..graph.model import FanoutPolicy, OperatorKind
 
 
 class ScenarioError(ValueError):
@@ -47,6 +66,34 @@ class ScenarioError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def _field(
+    default: Any = MISSING,
+    *,
+    positive: bool = False,
+    nonnegative: bool = False,
+    minimum: Optional[float] = None,
+    choices: Tuple[str, ...] = (),
+    nonempty: bool = False,
+) -> Any:
+    """A dataclass field carrying the bounds :func:`_decode` enforces.
+
+    ``positive`` / ``nonnegative`` / ``minimum`` bound a number,
+    ``choices`` closes a string vocabulary and ``nonempty`` rejects an
+    empty string or list.  On a tuple field the rules also apply to
+    every item.
+    """
+    return field(
+        default=default,
+        metadata=dict(
+            positive=positive,
+            nonnegative=nonnegative,
+            minimum=minimum,
+            choices=choices,
+            nonempty=nonempty,
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -157,26 +204,39 @@ class CostSpec:
     """Per-operator cost profile for generated shapes."""
 
     kind: CostKind = CostKind.BALANCED
-    flops: float = 100.0
-    heavy_fraction: float = 0.10
-    medium_fraction: float = 0.30
-    heavy_flops: float = 10_000.0
-    medium_flops: float = 100.0
-    light_flops: float = 1.0
+    flops: float = _field(100.0, nonnegative=True)
+    heavy_fraction: float = _field(0.10, nonnegative=True)
+    medium_fraction: float = _field(0.30, nonnegative=True)
+    heavy_flops: float = _field(10_000.0, nonnegative=True)
+    medium_flops: float = _field(100.0, nonnegative=True)
+    light_flops: float = _field(1.0, nonnegative=True)
     seed: Optional[int] = None
+
+    def _check(self, path: str) -> None:
+        total = self.heavy_fraction + self.medium_fraction
+        if total > 1.0:
+            raise ScenarioError(
+                f"{path}.heavy_fraction",
+                "heavy_fraction + medium_fraction must be <= 1, got "
+                f"{total}",
+            )
+
+
+_NODE_KINDS = tuple(k.value for k in OperatorKind)
+_FANOUTS = tuple(f.value for f in FanoutPolicy)
 
 
 @dataclass(frozen=True)
 class NodeSpec:
     """One operator of a custom topology."""
 
-    name: str
-    kind: str = "functional"  # source | functional | sink
-    cost_flops: float = 100.0
-    selectivity: float = 1.0
+    name: str = _field(nonempty=True)
+    kind: str = _field("functional", choices=_NODE_KINDS)
+    cost_flops: float = _field(100.0, nonnegative=True)
+    selectivity: float = _field(1.0, nonnegative=True)
     uses_lock: bool = False
-    fanout: str = "broadcast"  # broadcast | split
-    max_rate: Optional[float] = None
+    fanout: str = _field("broadcast", choices=_FANOUTS)
+    max_rate: Optional[float] = _field(None, positive=True)
 
 
 @dataclass(frozen=True)
@@ -195,14 +255,55 @@ class TopologySpec:
     """
 
     shape: TopologyShape = TopologyShape.PIPELINE
-    operators: int = 8
-    width: int = 4
-    depth: int = 4
-    levels: int = 3
-    payload_bytes: int = 128
+    operators: int = _field(8, minimum=1)
+    width: int = _field(4, minimum=1)
+    depth: int = _field(4, minimum=1)
+    levels: int = _field(3, minimum=1)
+    payload_bytes: int = _field(128, nonnegative=True)
     cost: CostSpec = field(default_factory=CostSpec)
     nodes: Tuple[NodeSpec, ...] = ()
     edges: Tuple[Tuple[str, str], ...] = ()
+
+    def _check(self, path: str) -> None:
+        if self.shape is not TopologyShape.CUSTOM:
+            for name in ("nodes", "edges"):
+                if getattr(self, name):
+                    raise ScenarioError(
+                        f"{path}.{name}",
+                        f"nodes/edges are only valid for shape 'custom', "
+                        f"not {self.shape.value!r}",
+                    )
+            return
+        if not self.nodes:
+            raise ScenarioError(
+                f"{path}.nodes",
+                "custom topologies require a non-empty node list",
+            )
+        names = [n.name for n in self.nodes]
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        if dupes:
+            raise ScenarioError(
+                f"{path}.nodes", f"duplicate operator names: {dupes}"
+            )
+        if not self.edges:
+            raise ScenarioError(
+                f"{path}.edges",
+                "custom topologies require a non-empty edge list",
+            )
+        known = set(names)
+        for i, (src, dst) in enumerate(self.edges):
+            for which, end in enumerate((src, dst)):
+                if end not in known:
+                    raise ScenarioError(
+                        f"{path}.edges[{i}][{which}]",
+                        f"unknown operator name {end!r} "
+                        f"(known: {', '.join(sorted(known))})",
+                    )
+            if src == dst:
+                raise ScenarioError(
+                    f"{path}.edges[{i}]",
+                    f"self loops are not allowed ({src!r})",
+                )
 
 
 # ----------------------------------------------------------------------
@@ -227,16 +328,27 @@ class ModulationSpec:
     """
 
     kind: ModulationKind = ModulationKind.NONE
-    period_s: float = 60.0
-    low_factor: float = 0.2
-    high_factor: float = 1.0
-    steps: int = 32
-    on_s: float = 1.0
-    off_s: float = 1.0
-    at_s: float = 0.0
-    ramp_s: float = 1.0
-    hold_s: float = 1.0
-    factor: float = 5.0
+    period_s: float = _field(60.0, positive=True)
+    low_factor: float = _field(0.2, nonnegative=True)
+    high_factor: float = _field(1.0, nonnegative=True)
+    steps: int = _field(32, minimum=2)
+    on_s: float = _field(1.0, positive=True)
+    off_s: float = _field(1.0, nonnegative=True)
+    at_s: float = _field(0.0, nonnegative=True)
+    ramp_s: float = _field(1.0, positive=True)
+    hold_s: float = _field(1.0, nonnegative=True)
+    factor: float = _field(5.0, positive=True)
+
+    def _check(self, path: str) -> None:
+        if (
+            self.kind is ModulationKind.DIURNAL
+            and self.low_factor > self.high_factor
+        ):
+            raise ScenarioError(
+                f"{path}.low_factor",
+                f"low_factor ({self.low_factor}) must not exceed "
+                f"high_factor ({self.high_factor})",
+            )
 
 
 @dataclass(frozen=True)
@@ -257,11 +369,29 @@ class ArrivalSpec:
     def open_loop(self) -> bool:
         return self.kind is not ArrivalKind.SATURATED
 
+    def _check(self, path: str) -> None:
+        if not self.open_loop:
+            if self.rate:  # zero is fine for saturated
+                raise ScenarioError(
+                    f"{path}.rate",
+                    "saturated arrivals take no rate (remove the field "
+                    "or pick an open-loop kind)",
+                )
+        elif not self.rate:
+            raise ScenarioError(
+                f"{path}.rate",
+                f"open-loop arrivals ({self.kind.value!r}) require a rate",
+            )
+        elif self.rate < 0:
+            raise ScenarioError(
+                f"{path}.rate", f"must be > 0, got {self.rate}"
+            )
+
 
 @dataclass(frozen=True)
 class PayloadChoice:
-    payload_bytes: int
-    weight: float
+    payload_bytes: int = _field(nonnegative=True)
+    weight: float = _field(1.0, positive=True)
 
 
 @dataclass(frozen=True)
@@ -274,8 +404,20 @@ class PayloadSpec:
     """
 
     kind: PayloadKind = PayloadKind.FIXED
-    payload_bytes: int = 0  # 0 = inherit topology.payload_bytes
+    # 0 = inherit topology.payload_bytes
+    payload_bytes: int = _field(0, nonnegative=True)
     mix: Tuple[PayloadChoice, ...] = ()
+
+    def _check(self, path: str) -> None:
+        if self.kind is PayloadKind.MIX:
+            if not self.mix:
+                raise ScenarioError(
+                    f"{path}.mix", "payload mix requires a non-empty list"
+                )
+        elif self.mix:
+            raise ScenarioError(
+                f"{path}.mix", "mix entries are only valid for kind 'mix'"
+            )
 
 
 @dataclass(frozen=True)
@@ -301,9 +443,9 @@ class ChannelSpec:
     windows.  The defaults are byte-compatible with historical runs.
     """
 
-    batch_size: int = 8
-    flush_timeout_ms: Optional[float] = None
-    prefetch: int = 0
+    batch_size: int = _field(8, minimum=1)
+    flush_timeout_ms: Optional[float] = _field(None, positive=True)
+    prefetch: int = _field(0, nonnegative=True)
     fastforward: bool = False
 
 
@@ -313,7 +455,7 @@ class ChannelSpec:
 @dataclass(frozen=True)
 class MachineSpec:
     profile: MachineName = MachineName.LAPTOP
-    cores: Optional[int] = None
+    cores: Optional[int] = _field(None, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -333,17 +475,17 @@ class RunSpec:
 
     backend: Backend = Backend.BOTH
     seed: int = 0
-    adaptation_period_s: Optional[float] = None
-    warmup_s: float = 0.001
-    measure_s: float = 0.004
-    queue_capacity: int = 16
+    adaptation_period_s: Optional[float] = _field(None, positive=True)
+    warmup_s: float = _field(0.001, nonnegative=True)
+    measure_s: float = _field(0.004, positive=True)
+    queue_capacity: int = _field(16, minimum=1)
     overflow: OverflowPolicy = OverflowPolicy.BLOCK
-    max_periods: int = 60
-    stop_after_stable_periods: Optional[int] = 8
-    duration_s: float = 2000.0
+    max_periods: int = _field(60, minimum=1)
+    stop_after_stable_periods: Optional[int] = _field(8, minimum=1)
+    duration_s: float = _field(2000.0, positive=True)
     profile_from_execution: bool = True
-    jobs: Optional[int] = None
-    warm_start: Optional[str] = None
+    jobs: Optional[int] = _field(None, minimum=1)
+    warm_start: Optional[str] = _field(None, choices=VALID_MODES)
 
 
 @dataclass(frozen=True)
@@ -358,11 +500,19 @@ class PeSpec:
     stateless in the paper's sense: no lock-using operators.
     """
 
-    name: str
-    operators: Tuple[str, ...] = ()
-    replicas: int = 1
+    name: str = _field(nonempty=True)
+    operators: Tuple[str, ...] = _field(nonempty=True)
+    replicas: int = _field(1, minimum=1)
     elastic: bool = False
-    max_replicas: int = 8
+    max_replicas: int = _field(8, minimum=1)
+
+    def _check(self, path: str) -> None:
+        if self.replicas > self.max_replicas:
+            raise ScenarioError(
+                f"{path}.replicas",
+                f"replicas ({self.replicas}) exceeds max_replicas "
+                f"({self.max_replicas})",
+            )
 
 
 @dataclass(frozen=True)
@@ -375,14 +525,14 @@ class PartitionSpec:
 
     strategy: PartitionStrategy = PartitionStrategy.FORWARD
     seed: Optional[int] = None
-    key_space: int = 1024
+    key_space: int = _field(1024, minimum=1)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A complete, validated scenario document."""
 
-    name: str
+    name: str = _field(nonempty=True)
     description: str = ""
     topology: TopologySpec = field(default_factory=TopologySpec)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
@@ -392,16 +542,40 @@ class Scenario:
     pes: Tuple[PeSpec, ...] = ()
     partition: PartitionSpec = field(default_factory=PartitionSpec)
 
+    def _check(self, path: str) -> None:
+        seen_ops: Dict[str, str] = {}
+        for i, pe in enumerate(self.pes):
+            if any(other.name == pe.name for other in self.pes[:i]):
+                raise ScenarioError(
+                    f"pes[{i}].name", f"duplicate PE name {pe.name!r}"
+                )
+            for op in pe.operators:
+                if op in seen_ops:
+                    raise ScenarioError(
+                        f"pes[{i}].operators",
+                        f"operator {op!r} is assigned to both "
+                        f"{seen_ops[op]!r} and {pe.name!r}",
+                    )
+                seen_ops[op] = pe.name
+
 
 FORMAT_VERSION = 1
 
-_VALID_NODE_KINDS = ("source", "functional", "sink")
-_VALID_FANOUTS = ("broadcast", "split")
-
 
 # ----------------------------------------------------------------------
-# parsing helpers (every error names its field)
+# the decoder (every error names its field)
 # ----------------------------------------------------------------------
+_NO_RULES: Mapping[str, Any] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> Dict[str, Tuple[Any, Any]]:
+    """``name -> (field, resolved type)`` of a spec class, in field
+    order; the type hints are resolved once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: (f, hints[f.name]) for f in fields(cls)}
+
+
 def _mapping(data: Any, path: str) -> Mapping:
     if not isinstance(data, Mapping):
         raise ScenarioError(
@@ -410,7 +584,7 @@ def _mapping(data: Any, path: str) -> Mapping:
     return data
 
 
-def _check_keys(data: Mapping, path: str, allowed: Tuple[str, ...]) -> None:
+def _check_keys(data: Mapping, path: str, allowed: Any) -> None:
     for key in data:
         if key not in allowed:
             raise ScenarioError(
@@ -440,9 +614,7 @@ def _number(
     nonnegative: bool = False,
 ) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(
-            path, f"expected a number, got {value!r}"
-        )
+        raise ScenarioError(path, f"expected a number, got {value!r}")
     if integer and int(value) != value:
         raise ScenarioError(path, f"expected an integer, got {value!r}")
     num = int(value) if integer else float(value)
@@ -455,658 +627,80 @@ def _number(
     return num
 
 
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ScenarioError(
-            path, f"expected a non-empty string, got {value!r}"
-        )
-    return value
-
-
-def _bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(path, f"expected a boolean, got {value!r}")
-    return value
-
-
-# ----------------------------------------------------------------------
-# from_dict
-# ----------------------------------------------------------------------
-def _cost_from_dict(data: Any, path: str) -> CostSpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        (
-            "kind",
-            "flops",
-            "heavy_fraction",
-            "medium_fraction",
-            "heavy_flops",
-            "medium_flops",
-            "light_flops",
-            "seed",
-        ),
-    )
-    kind = _enum(data.get("kind", "balanced"), f"{path}.kind", CostKind)
-    spec = CostSpec(
-        kind=kind,
-        flops=_number(
-            data.get("flops", 100.0), f"{path}.flops", nonnegative=True
-        ),
-        heavy_fraction=_number(
-            data.get("heavy_fraction", 0.10),
-            f"{path}.heavy_fraction",
-            nonnegative=True,
-        ),
-        medium_fraction=_number(
-            data.get("medium_fraction", 0.30),
-            f"{path}.medium_fraction",
-            nonnegative=True,
-        ),
-        heavy_flops=_number(
-            data.get("heavy_flops", 10_000.0),
-            f"{path}.heavy_flops",
-            nonnegative=True,
-        ),
-        medium_flops=_number(
-            data.get("medium_flops", 100.0),
-            f"{path}.medium_flops",
-            nonnegative=True,
-        ),
-        light_flops=_number(
-            data.get("light_flops", 1.0),
-            f"{path}.light_flops",
-            nonnegative=True,
-        ),
-        seed=(
-            _number(data["seed"], f"{path}.seed", integer=True)
-            if data.get("seed") is not None
-            else None
-        ),
-    )
-    if spec.heavy_fraction + spec.medium_fraction > 1.0:
-        raise ScenarioError(
-            f"{path}.heavy_fraction",
-            "heavy_fraction + medium_fraction must be <= 1, got "
-            f"{spec.heavy_fraction + spec.medium_fraction}",
-        )
-    return spec
-
-
-def _node_from_dict(data: Any, path: str) -> NodeSpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        (
-            "name",
-            "kind",
-            "cost_flops",
-            "selectivity",
-            "uses_lock",
-            "fanout",
-            "max_rate",
-        ),
-    )
-    if "name" not in data:
-        raise ScenarioError(f"{path}.name", "operator name is required")
-    kind = data.get("kind", "functional")
-    if kind not in _VALID_NODE_KINDS:
-        raise ScenarioError(
-            f"{path}.kind",
-            f"unknown value {kind!r} "
-            f"(valid values: {', '.join(map(repr, _VALID_NODE_KINDS))})",
-        )
-    fanout = data.get("fanout", "broadcast")
-    if fanout not in _VALID_FANOUTS:
-        raise ScenarioError(
-            f"{path}.fanout",
-            f"unknown value {fanout!r} "
-            f"(valid values: {', '.join(map(repr, _VALID_FANOUTS))})",
-        )
-    return NodeSpec(
-        name=_string(data["name"], f"{path}.name"),
-        kind=kind,
-        cost_flops=_number(
-            data.get("cost_flops", 100.0),
-            f"{path}.cost_flops",
-            nonnegative=True,
-        ),
-        selectivity=_number(
-            data.get("selectivity", 1.0),
-            f"{path}.selectivity",
-            nonnegative=True,
-        ),
-        uses_lock=_bool(
-            data.get("uses_lock", False), f"{path}.uses_lock"
-        ),
-        fanout=fanout,
-        max_rate=(
-            _number(data["max_rate"], f"{path}.max_rate", positive=True)
-            if data.get("max_rate") is not None
-            else None
-        ),
-    )
-
-
-def _topology_from_dict(data: Any, path: str) -> TopologySpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        (
-            "shape",
-            "operators",
-            "width",
-            "depth",
-            "levels",
-            "payload_bytes",
-            "cost",
-            "nodes",
-            "edges",
-        ),
-    )
-    shape = _enum(
-        data.get("shape", "pipeline"), f"{path}.shape", TopologyShape
-    )
-    nodes: Tuple[NodeSpec, ...] = ()
-    edges: Tuple[Tuple[str, str], ...] = ()
-    if shape is TopologyShape.CUSTOM:
-        raw_nodes = data.get("nodes")
-        if not isinstance(raw_nodes, (list, tuple)) or not raw_nodes:
-            raise ScenarioError(
-                f"{path}.nodes",
-                "custom topologies require a non-empty node list",
-            )
-        nodes = tuple(
-            _node_from_dict(n, f"{path}.nodes[{i}]")
-            for i, n in enumerate(raw_nodes)
-        )
-        names = [n.name for n in nodes]
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        if dupes:
-            raise ScenarioError(
-                f"{path}.nodes", f"duplicate operator names: {dupes}"
-            )
-        raw_edges = data.get("edges")
-        if not isinstance(raw_edges, (list, tuple)) or not raw_edges:
-            raise ScenarioError(
-                f"{path}.edges",
-                "custom topologies require a non-empty edge list",
-            )
-        known = set(names)
-        parsed = []
-        for i, e in enumerate(raw_edges):
-            epath = f"{path}.edges[{i}]"
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ScenarioError(
-                    epath, f"expected a [src, dst] pair, got {e!r}"
-                )
-            src, dst = _string(e[0], f"{epath}[0]"), _string(
-                e[1], f"{epath}[1]"
-            )
-            for end, which in ((src, 0), (dst, 1)):
-                if end not in known:
-                    raise ScenarioError(
-                        f"{epath}[{which}]",
-                        f"unknown operator name {end!r} "
-                        f"(known: {', '.join(sorted(known))})",
-                    )
-            if src == dst:
-                raise ScenarioError(
-                    epath, f"self loops are not allowed ({src!r})"
-                )
-            parsed.append((src, dst))
-        edges = tuple(parsed)
-    elif data.get("nodes") or data.get("edges"):
-        raise ScenarioError(
-            f"{path}.nodes",
-            f"nodes/edges are only valid for shape 'custom', "
-            f"not {shape.value!r}",
-        )
-    return TopologySpec(
-        shape=shape,
-        operators=_number(
-            data.get("operators", 8),
-            f"{path}.operators",
-            integer=True,
-            minimum=1,
-        ),
-        width=_number(
-            data.get("width", 4), f"{path}.width", integer=True, minimum=1
-        ),
-        depth=_number(
-            data.get("depth", 4), f"{path}.depth", integer=True, minimum=1
-        ),
-        levels=_number(
-            data.get("levels", 3), f"{path}.levels", integer=True, minimum=1
-        ),
-        payload_bytes=_number(
-            data.get("payload_bytes", 128),
-            f"{path}.payload_bytes",
-            integer=True,
-            nonnegative=True,
-        ),
-        cost=_cost_from_dict(data.get("cost", {}), f"{path}.cost"),
-        nodes=nodes,
-        edges=edges,
-    )
-
-
-def _modulation_from_dict(data: Any, path: str) -> ModulationSpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        (
-            "kind",
-            "period_s",
-            "low_factor",
-            "high_factor",
-            "steps",
-            "on_s",
-            "off_s",
-            "at_s",
-            "ramp_s",
-            "hold_s",
-            "factor",
-        ),
-    )
-    kind = _enum(data.get("kind", "none"), f"{path}.kind", ModulationKind)
-    spec = ModulationSpec(
-        kind=kind,
-        period_s=_number(
-            data.get("period_s", 60.0), f"{path}.period_s", positive=True
-        ),
-        low_factor=_number(
-            data.get("low_factor", 0.2),
-            f"{path}.low_factor",
-            nonnegative=True,
-        ),
-        high_factor=_number(
-            data.get("high_factor", 1.0),
-            f"{path}.high_factor",
-            nonnegative=True,
-        ),
-        steps=_number(
-            data.get("steps", 32), f"{path}.steps", integer=True, minimum=2
-        ),
-        on_s=_number(
-            data.get("on_s", 1.0), f"{path}.on_s", positive=True
-        ),
-        off_s=_number(
-            data.get("off_s", 1.0), f"{path}.off_s", nonnegative=True
-        ),
-        at_s=_number(
-            data.get("at_s", 0.0), f"{path}.at_s", nonnegative=True
-        ),
-        ramp_s=_number(
-            data.get("ramp_s", 1.0), f"{path}.ramp_s", positive=True
-        ),
-        hold_s=_number(
-            data.get("hold_s", 1.0), f"{path}.hold_s", nonnegative=True
-        ),
-        factor=_number(
-            data.get("factor", 5.0), f"{path}.factor", positive=True
-        ),
-    )
-    if kind is ModulationKind.DIURNAL and spec.low_factor > spec.high_factor:
-        raise ScenarioError(
-            f"{path}.low_factor",
-            f"low_factor ({spec.low_factor}) must not exceed "
-            f"high_factor ({spec.high_factor})",
-        )
-    return spec
-
-
-def _arrivals_from_dict(data: Any, path: str) -> ArrivalSpec:
-    data = _mapping(data, path)
-    _check_keys(data, path, ("kind", "rate", "modulation", "seed"))
-    kind = _enum(data.get("kind", "saturated"), f"{path}.kind", ArrivalKind)
-    rate = 0.0
-    if kind is not ArrivalKind.SATURATED:
-        if "rate" not in data:
-            raise ScenarioError(
-                f"{path}.rate",
-                f"open-loop arrivals ({kind.value!r}) require a rate",
-            )
-        rate = _number(data["rate"], f"{path}.rate", positive=True)
-    elif data.get("rate"):  # zero/absent is fine for saturated
-        raise ScenarioError(
-            f"{path}.rate",
-            "saturated arrivals take no rate (remove the field or "
-            "pick an open-loop kind)",
-        )
-    return ArrivalSpec(
-        kind=kind,
-        rate=rate,
-        modulation=_modulation_from_dict(
-            data.get("modulation", {}), f"{path}.modulation"
-        ),
-        seed=(
-            _number(data["seed"], f"{path}.seed", integer=True)
-            if data.get("seed") is not None
-            else None
-        ),
-    )
-
-
-def _payload_from_dict(data: Any, path: str) -> PayloadSpec:
-    data = _mapping(data, path)
-    _check_keys(data, path, ("kind", "payload_bytes", "mix"))
-    kind = _enum(data.get("kind", "fixed"), f"{path}.kind", PayloadKind)
-    mix: Tuple[PayloadChoice, ...] = ()
-    if kind is PayloadKind.MIX:
-        raw = data.get("mix")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ScenarioError(
-                f"{path}.mix", "payload mix requires a non-empty list"
-            )
-        entries = []
-        for i, entry in enumerate(raw):
-            epath = f"{path}.mix[{i}]"
-            entry = _mapping(entry, epath)
-            _check_keys(entry, epath, ("payload_bytes", "weight"))
-            if "payload_bytes" not in entry:
-                raise ScenarioError(
-                    f"{epath}.payload_bytes", "payload_bytes is required"
-                )
-            entries.append(
-                PayloadChoice(
-                    payload_bytes=_number(
-                        entry["payload_bytes"],
-                        f"{epath}.payload_bytes",
-                        integer=True,
-                        nonnegative=True,
-                    ),
-                    weight=_number(
-                        entry.get("weight", 1.0),
-                        f"{epath}.weight",
-                        positive=True,
-                    ),
-                )
-            )
-        mix = tuple(entries)
-    elif data.get("mix"):
-        raise ScenarioError(
-            f"{path}.mix", "mix entries are only valid for kind 'mix'"
-        )
-    return PayloadSpec(
-        kind=kind,
-        payload_bytes=_number(
-            data.get("payload_bytes", 0),
-            f"{path}.payload_bytes",
-            integer=True,
-            nonnegative=True,
-        ),
-        mix=mix,
-    )
-
-
-def _workload_from_dict(data: Any, path: str) -> WorkloadSpec:
-    data = _mapping(data, path)
-    _check_keys(data, path, ("arrivals", "payload"))
-    return WorkloadSpec(
-        arrivals=_arrivals_from_dict(
-            data.get("arrivals", {}), f"{path}.arrivals"
-        ),
-        payload=_payload_from_dict(
-            data.get("payload", {}), f"{path}.payload"
-        ),
-    )
-
-
-def _channel_from_dict(data: Any, path: str) -> ChannelSpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        ("batch_size", "flush_timeout_ms", "prefetch", "fastforward"),
-    )
-    return ChannelSpec(
-        batch_size=_number(
-            data.get("batch_size", 8),
-            f"{path}.batch_size",
-            integer=True,
-            minimum=1,
-        ),
-        flush_timeout_ms=(
-            _number(
-                data["flush_timeout_ms"],
-                f"{path}.flush_timeout_ms",
-                positive=True,
-            )
-            if data.get("flush_timeout_ms") is not None
-            else None
-        ),
-        prefetch=_number(
-            data.get("prefetch", 0),
-            f"{path}.prefetch",
-            integer=True,
-            nonnegative=True,
-        ),
-        fastforward=_bool(
-            data.get("fastforward", False), f"{path}.fastforward"
-        ),
-    )
-
-
-def _machine_from_dict(data: Any, path: str) -> MachineSpec:
-    data = _mapping(data, path)
-    _check_keys(data, path, ("profile", "cores"))
-    return MachineSpec(
-        profile=_enum(
-            data.get("profile", "laptop"), f"{path}.profile", MachineName
-        ),
-        cores=(
-            _number(
-                data["cores"], f"{path}.cores", integer=True, minimum=1
-            )
-            if data.get("cores") is not None
-            else None
-        ),
-    )
-
-
-def _run_from_dict(data: Any, path: str) -> RunSpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        (
-            "backend",
-            "seed",
-            "adaptation_period_s",
-            "warmup_s",
-            "measure_s",
-            "queue_capacity",
-            "overflow",
-            "max_periods",
-            "stop_after_stable_periods",
-            "duration_s",
-            "profile_from_execution",
-            "jobs",
-            "warm_start",
-        ),
-    )
-    return RunSpec(
-        backend=_enum(data.get("backend", "both"), f"{path}.backend", Backend),
-        seed=_number(
-            data.get("seed", 0), f"{path}.seed", integer=True
-        ),
-        adaptation_period_s=(
-            _number(
-                data["adaptation_period_s"],
-                f"{path}.adaptation_period_s",
-                positive=True,
-            )
-            if data.get("adaptation_period_s") is not None
-            else None
-        ),
-        warmup_s=_number(
-            data.get("warmup_s", 0.001), f"{path}.warmup_s", nonnegative=True
-        ),
-        measure_s=_number(
-            data.get("measure_s", 0.004), f"{path}.measure_s", positive=True
-        ),
-        queue_capacity=_number(
-            data.get("queue_capacity", 16),
-            f"{path}.queue_capacity",
-            integer=True,
-            minimum=1,
-        ),
-        overflow=_enum(
-            data.get("overflow", "block"), f"{path}.overflow", OverflowPolicy
-        ),
-        max_periods=_number(
-            data.get("max_periods", 60),
-            f"{path}.max_periods",
-            integer=True,
-            minimum=1,
-        ),
-        stop_after_stable_periods=(
-            _number(
-                data["stop_after_stable_periods"],
-                f"{path}.stop_after_stable_periods",
-                integer=True,
-                minimum=1,
-            )
-            if data.get("stop_after_stable_periods") is not None
-            else None
-        ),
-        duration_s=_number(
-            data.get("duration_s", 2000.0),
-            f"{path}.duration_s",
-            positive=True,
-        ),
-        profile_from_execution=_bool(
-            data.get("profile_from_execution", True),
-            f"{path}.profile_from_execution",
-        ),
-        jobs=(
-            _number(
-                data["jobs"],
-                f"{path}.jobs",
-                integer=True,
-                minimum=1,
-            )
-            if data.get("jobs") is not None
-            else None
-        ),
-        warm_start=_warm_start_mode(
-            data.get("warm_start"), f"{path}.warm_start"
-        ),
-    )
-
-
-def _warm_start_mode(value: Any, path: str) -> Optional[str]:
-    if value is None:
-        return None
-    from ..core.warmstart import VALID_MODES
-
-    if not isinstance(value, str) or value not in VALID_MODES:
+def _string(value: Any, path: str, rules: Mapping[str, Any]) -> str:
+    choices = rules.get("choices")
+    if choices and value not in choices:
         raise ScenarioError(
             path,
             f"unknown value {value!r} "
-            f"(valid values: {', '.join(VALID_MODES)})",
+            f"(valid values: {', '.join(map(repr, choices))})",
         )
+    nonempty = rules.get("nonempty")
+    if not isinstance(value, str) or (nonempty and not value):
+        kind = "non-empty string" if nonempty else "string"
+        raise ScenarioError(path, f"expected a {kind}, got {value!r}")
     return value
 
 
-def _pe_from_dict(data: Any, path: str) -> PeSpec:
-    data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        ("name", "operators", "replicas", "elastic", "max_replicas"),
-    )
-    if "name" not in data:
-        raise ScenarioError(f"{path}.name", "PE name is required")
-    operators = data.get("operators", [])
-    if not isinstance(operators, (list, tuple)) or not operators:
-        raise ScenarioError(
-            f"{path}.operators",
-            f"expected a non-empty list of operator names, got "
-            f"{operators!r}",
-        )
-    spec = PeSpec(
-        name=_string(data["name"], f"{path}.name"),
-        operators=tuple(
-            _string(op, f"{path}.operators[{i}]")
-            for i, op in enumerate(operators)
-        ),
-        replicas=_number(
-            data.get("replicas", 1),
-            f"{path}.replicas",
-            integer=True,
-            minimum=1,
-        ),
-        elastic=_bool(data.get("elastic", False), f"{path}.elastic"),
-        max_replicas=_number(
-            data.get("max_replicas", 8),
-            f"{path}.max_replicas",
-            integer=True,
-            minimum=1,
-        ),
-    )
-    if spec.replicas > spec.max_replicas:
-        raise ScenarioError(
-            f"{path}.replicas",
-            f"replicas ({spec.replicas}) exceeds max_replicas "
-            f"({spec.max_replicas})",
-        )
-    return spec
-
-
-def _pes_from_dict(data: Any, path: str) -> Tuple[PeSpec, ...]:
+def _tuple(tp: Any, data: Any, path: str, rules: Mapping[str, Any]):
     if not isinstance(data, (list, tuple)):
+        raise ScenarioError(path, f"expected a list, got {data!r}")
+    args = get_args(tp)
+    if len(args) == 2 and args[1] is Ellipsis:
+        args = (args[0],) * len(data)
+    elif len(data) != len(args):
         raise ScenarioError(
-            path, f"expected a list of PE mappings, got {data!r}"
+            path, f"expected a list of {len(args)} items, got {data!r}"
         )
-    pes = tuple(
-        _pe_from_dict(pe, f"{path}[{i}]") for i, pe in enumerate(data)
+    if rules.get("nonempty") and not data:
+        raise ScenarioError(path, f"expected a non-empty list, got {data!r}")
+    return tuple(
+        _decode(item_tp, item, f"{path}[{i}]", rules)
+        for i, (item_tp, item) in enumerate(zip(args, data))
     )
-    seen_names: set = set()
-    seen_ops: Dict[str, str] = {}
-    for i, pe in enumerate(pes):
-        if pe.name in seen_names:
-            raise ScenarioError(
-                f"{path}[{i}].name", f"duplicate PE name {pe.name!r}"
-            )
-        seen_names.add(pe.name)
-        for op in pe.operators:
-            if op in seen_ops:
-                raise ScenarioError(
-                    f"{path}[{i}].operators",
-                    f"operator {op!r} is assigned to both "
-                    f"{seen_ops[op]!r} and {pe.name!r}",
-                )
-            seen_ops[op] = pe.name
-    return pes
 
 
-def _partition_from_dict(data: Any, path: str) -> PartitionSpec:
-    data = _mapping(data, path)
-    _check_keys(data, path, ("strategy", "seed", "key_space"))
-    return PartitionSpec(
-        strategy=_enum(
-            data.get("strategy", "forward"),
-            f"{path}.strategy",
-            PartitionStrategy,
-        ),
-        seed=(
-            _number(data["seed"], f"{path}.seed", integer=True)
-            if data.get("seed") is not None
-            else None
-        ),
-        key_space=_number(
-            data.get("key_space", 1024),
-            f"{path}.key_space",
-            integer=True,
-            minimum=1,
-        ),
-    )
+def _decode(
+    cls: Any, data: Any, path: str, rules: Mapping[str, Any] = _NO_RULES
+) -> Any:
+    """Decode ``data`` as a value of type ``cls`` under ``rules``."""
+    if is_dataclass(cls):
+        data = _mapping(data, path)
+        schema = _schema(cls)
+        _check_keys(data, path, schema)
+        kwargs = {}
+        for f, tp in schema.values():
+            fpath = f"{path}.{f.name}" if path else f.name
+            if f.name in data:
+                kwargs[f.name] = _decode(tp, data[f.name], fpath, f.metadata)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ScenarioError(fpath, f"{f.name} is required")
+        spec = cls(**kwargs)
+        check = getattr(spec, "_check", None)
+        if check is not None:
+            check(path)
+        return spec
+    origin = get_origin(cls)
+    if origin is Union:  # Optional[X]
+        if data is None:
+            return None
+        (cls,) = [a for a in get_args(cls) if a is not type(None)]
+        return _decode(cls, data, path, rules)
+    if origin is tuple:
+        return _tuple(cls, data, path, rules)
+    if isinstance(cls, type) and issubclass(cls, enum.Enum):
+        return _enum(data, path, cls)
+    if cls is bool:
+        if not isinstance(data, bool):
+            raise ScenarioError(path, f"expected a boolean, got {data!r}")
+        return data
+    if cls in (int, float):
+        bounds = ("minimum", "positive", "nonnegative")
+        kwargs = {k: rules[k] for k in bounds if k in rules}
+        return _number(data, path, integer=cls is int, **kwargs)
+    if cls is str:
+        return _string(data, path, rules)
+    raise TypeError(f"{path}: no decoder for type {cls!r}")
 
 
 def scenario_from_dict(data: Any) -> Scenario:
@@ -1115,49 +709,16 @@ def scenario_from_dict(data: Any) -> Scenario:
     Raises :class:`ScenarioError` naming the offending field on any
     schema violation.
     """
-    data = _mapping(data, "")
-    _check_keys(
-        data,
-        "",
-        (
-            "version",
-            "name",
-            "description",
-            "topology",
-            "workload",
-            "machine",
-            "run",
-            "channel",
-            "pes",
-            "partition",
-        ),
-    )
-    version = data.get("version", FORMAT_VERSION)
+    data = dict(_mapping(data, ""))
+    _check_keys(data, "", ("version", *_schema(Scenario)))
+    version = data.pop("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ScenarioError(
             "version",
             f"unsupported scenario format version {version!r} "
             f"(expected {FORMAT_VERSION})",
         )
-    if "name" not in data:
-        raise ScenarioError("name", "scenario name is required")
-    description = data.get("description", "")
-    if not isinstance(description, str):
-        raise ScenarioError(
-            "description",
-            f"expected a string, got {description!r}",
-        )
-    return Scenario(
-        name=_string(data["name"], "name"),
-        description=description,
-        topology=_topology_from_dict(data.get("topology", {}), "topology"),
-        workload=_workload_from_dict(data.get("workload", {}), "workload"),
-        machine=_machine_from_dict(data.get("machine", {}), "machine"),
-        run=_run_from_dict(data.get("run", {}), "run"),
-        channel=_channel_from_dict(data.get("channel", {}), "channel"),
-        pes=_pes_from_dict(data.get("pes", []), "pes"),
-        partition=_partition_from_dict(data.get("partition", {}), "partition"),
-    )
+    return _decode(Scenario, data, "")
 
 
 # ----------------------------------------------------------------------

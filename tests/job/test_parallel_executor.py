@@ -13,9 +13,12 @@ a semantics switch instead of a performance switch.
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.bench import cache
+from repro.obs.exporters import prometheus_text, write_jsonl
 from repro.obs.hub import ObservabilityHub
 from repro.runtime.pool import WorkerPoolError
 from repro.scenarios.compile import compile_scenario
@@ -29,14 +32,16 @@ ZOO_MULTI_PE = (
 )
 
 
-def _run(name, jobs, warm=False):
+def _run(name, jobs, warm=False, warm_start=None):
     """One full zoo run at the given pool width; cold cache unless
     ``warm`` (memoization reuse is part of the regression surface)."""
     if not warm:
         cache.clear()
     compiled = compile_scenario(load_named(name))
     hub = ObservabilityHub()
-    runner = make_backend(compiled, obs=hub, jobs=jobs)
+    runner = make_backend(
+        compiled, obs=hub, jobs=jobs, warm_start=warm_start
+    )
     spec = compiled.scenario.run
     result = runner.run(
         max_periods=spec.max_periods,
@@ -85,6 +90,24 @@ class TestByteIdentity:
         assert par._pe_results is not None
         assert _signature(par_result, par_hub) == seq_sig
         assert frozenset(cache._STORE) == before
+
+    def test_warm_started_exports_match(self):
+        # Pool workers receive the warm-start spec at init and install
+        # it after building their runners, as the parent does: the
+        # JSONL log and the Prometheus text must not move.
+        def exports(jobs):
+            runner, _result, hub = _run(
+                ZOO_MULTI_PE[0], jobs=jobs, warm_start="model"
+            )
+            buf = io.StringIO()
+            write_jsonl(hub.records(), buf)
+            return runner, buf.getvalue(), prometheus_text(hub.registry)
+
+        _seq, *seq_exports = exports(1)
+        par, *par_exports = exports(2)
+        assert par._pe_results is not None
+        assert "F7-WARM-START" in seq_exports[0]
+        assert par_exports == seq_exports
 
     @pytest.mark.parametrize("name", ZOO_MULTI_PE)
     def test_per_pe_results_match(self, name):
