@@ -55,7 +55,7 @@ from ..runtime.config import RuntimeConfig
 from ..runtime.loop import ElasticLoop
 from ..runtime.queues import QueuePlacement
 from .channels import DEFAULT_CHANNEL, ChannelConfig
-from .engine import DesEngine
+from .engine import DesEngine, DesResult
 
 # Profiler wake-ups per measured window: enough samples that every
 # non-negligible operator is caught, few enough that the profiler
@@ -128,19 +128,10 @@ class DesAdaptationRunner(ElasticLoop):
         # Simulated start time of the period being measured; drives the
         # arrival envelope under open-loop workloads.
         self._period_t0 = 0.0
-        # Offered-load utilization of the last measured period (1.0
-        # when closed-loop); see DesResult.offered_utilization.
-        self.last_offered_utilization = 1.0
-        # Mean thread-busy fraction of the last measured period; the
-        # job-level coordinator reads it to judge scale-in headroom.
-        self.last_mean_utilization = 0.0
-        # Admitted source rate (tuples/s) of the last measured period.
-        # Under the ``block`` overflow policy the engine's own
-        # offered_utilization is blind to backpressure (a stalled
-        # source stops *pulling* the schedule, so offered ≈ admitted);
-        # the job executor compares this rate against the ingress rate
-        # it installed to recover the true shortfall.
-        self.last_source_rate = 0.0
+        # The last measured period's DesResult (None before the first):
+        # its offered and mean utilization and its admitted source rate
+        # are what the scenario report and the job layer read.
+        self.last_result: Optional[DesResult] = None
         self._m_offered_util = self._hub.registry.gauge(
             "des.offered_utilization",
             "fraction of the offered open-loop load the PE admitted "
@@ -188,11 +179,26 @@ class DesAdaptationRunner(ElasticLoop):
             key += (self._arrivals_key, self._period_t0, self._overflow)
         return key
 
-    def _make_engine(self) -> DesEngine:
+    def _execute(
+        self, kind: str, profiled: bool
+    ) -> Tuple[DesResult, Optional[CostProfile]]:
+        """Execute the current configuration once, memoized.
+
+        Returns the period's result and, when ``profiled``, the
+        execution profile its profiler thread collected (sampled or
+        fine-grained per ``sampled_profiling``, which the memo key
+        records).  A memo hit returns the stored pair without
+        simulating a single event.
+        """
+        key = self._measure_key(kind, profiled) if self._cacheable else None
+        if key is not None:
+            hit, cached = cache.lookup(key, obs=self._hub)
+            if hit:
+                return cached
         arrivals = None
         if self._arrivals_factory is not None:
             arrivals = self._arrivals_factory(self._period_t0)
-        return DesEngine(
+        engine = DesEngine(
             self.graph,
             self.machine,
             self.placement,
@@ -203,19 +209,21 @@ class DesAdaptationRunner(ElasticLoop):
             overflow=self._overflow,
             channel=self._channel,
         )
-
-    def _run_profiled(self, sampled: bool) -> Tuple[DesEngine, CostProfile]:
-        """One profiled execution of the current configuration."""
-        engine = self._make_engine()
-        profiler = engine.attach_profiler(
-            period_s=self._profiler_period_s,
-            sampled=sampled,
-        )
-        result = engine.run(
-            warmup_s=self.warmup_s, measure_s=self.measure_s
-        )
+        profiler = None
+        if profiled:
+            profiler = engine.attach_profiler(
+                period_s=self._profiler_period_s,
+                sampled=self.sampled_profiling,
+            )
+        result = engine.run(warmup_s=self.warmup_s, measure_s=self.measure_s)
         self.sim_events += engine.sim.events_processed
-        return result, profiler.profile(len(self.graph))
+        value = (
+            result,
+            None if profiler is None else profiler.profile(len(self.graph)),
+        )
+        if key is not None:
+            cache.store(key, value)
+        return value
 
     def _profile_groups(self) -> List[ProfilingGroup]:
         if not self.profile_from_execution:
@@ -231,19 +239,7 @@ class DesAdaptationRunner(ElasticLoop):
         # Dedicated profiling run: fine-grained profiling cannot ride
         # inside the measurement (it would perturb it), and a sampled
         # run may be asked for a profile before any period was measured.
-        if self._cacheable:
-            key = self._measure_key("des.profile", True)
-            hit, cached = cache.lookup(key, obs=self._hub)
-        else:
-            hit, cached = False, None
-        if hit:
-            _result, profile = cached
-        elif self._cacheable:
-            profile = cache.store(
-                key, self._run_profiled(self.sampled_profiling)
-            )[1]
-        else:
-            profile = self._run_profiled(self.sampled_profiling)[1]
+        profile = self._execute("des.profile", True)[1]
         if self._continuous_profiling:
             self._last_profile = profile
         return build_groups(self.graph, profile)
@@ -261,35 +257,13 @@ class DesAdaptationRunner(ElasticLoop):
         without simulating a single event.
         """
         profiled = self._continuous_profiling
-        if self._cacheable:
-            key = self._measure_key("des.measure", profiled)
-            hit, cached = cache.lookup(key, obs=self._hub)
-        else:
-            key = None
-            hit, cached = False, None
-        if hit:
-            result, profile = cached
-        elif profiled:
-            result, profile = self._run_profiled(sampled=True)
-            if key is not None:
-                cache.store(key, (result, profile))
-        else:
-            engine = self._make_engine()
-            result = engine.run(
-                warmup_s=self.warmup_s, measure_s=self.measure_s
-            )
-            self.sim_events += engine.sim.events_processed
-            profile = None
-            if key is not None:
-                cache.store(key, (result, profile))
+        result, profile = self._execute("des.measure", profiled)
         if profiled:
             self._last_profile = profile
+        self.last_result = result
         # Open-loop honesty: an underloaded PE reports its offered-load
         # utilization rather than letting a low absolute throughput be
         # mistaken for contention by whoever reads the trace.
-        self.last_offered_utilization = result.offered_utilization
-        self.last_mean_utilization = result.mean_utilization
-        self.last_source_rate = result.source_tuples_per_s
         if result.open_loop:
             self._m_offered_util.set(result.offered_utilization)
         return result.sink_tuples_per_s, result.sink_tuples_per_s

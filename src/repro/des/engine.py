@@ -11,8 +11,9 @@ contention effects) on small graphs.
 Execution semantics (mirroring §2.1):
 
 - each **source** operator is driven by a dedicated operator thread that
-  repeatedly executes the source's manual region, one source tuple per
-  iteration;
+  repeatedly executes the source's manual region — saturated, paced by
+  the operator's ``max_rate``, or admitting the arrivals of an open-loop
+  schedule (``_source_thread``);
 - each **scheduler thread** loops: acquire a core, scan the queue list
   (cost grows with queue count), pop from the first non-empty queue
   (round-robin start), execute that queued region, release the core;
@@ -248,9 +249,9 @@ class DesEngine:
         """``arrivals`` maps source operator index -> an **infinite**
         iterator of absolute arrival times (simulation seconds), making
         those sources *open-loop*: they admit one tuple per scheduled
-        arrival instead of spinning saturated.  The iterator must be
-        unbounded — the kernel's deadlock detector cannot distinguish an
-        exhausted schedule from a wedged PE.  ``overflow`` selects what
+        arrival instead of spinning saturated.  A schedule that runs
+        out raises ``ValueError`` from :meth:`run`, naming the source
+        and the simulated time.  ``overflow`` selects what
         an open-loop source does when its ingress queue is full:
         ``"block"`` (stall behind backpressure, the closed-loop
         behaviour) or ``"drop"`` (shed the arrival and count it in
@@ -665,8 +666,26 @@ class DesEngine:
         if not self.sim.put_nowait(queue, _TOKEN):
             yield Put(queue, _TOKEN)  # pragma: no cover - defensive
 
-    def _source_thread(self, region: Region) -> _Req:
-        source_op = self.graph.operator(region.entry)
+    def _source_thread(
+        self, region: Region, arrivals: Optional[Iterator[float]] = None
+    ) -> _Req:
+        """A source operator's dedicated thread (§2.1), in one of four
+        admission modes:
+
+        - *saturated*: a burst of ``min(max_burst_src, slice_left)``
+          tuples per event;
+        - *paced* by ``max_rate`` (e.g. a NIC line rate): one tuple per
+          due time, the next due time re-anchored at admission;
+        - *scheduled* by ``arrivals`` (absolute arrival times, open
+          loop) under ``block``: each due arrival is counted as offered
+          and the due backlog is admitted as one burst (the lookahead);
+        - *scheduled* under ``drop``: one arrival at a time, shed and
+          counted when an ingress queue is full.
+
+        A waiting thread never holds a core, so an underloaded PE burns
+        no simulated CPU.  An exhausted schedule raises ``ValueError``
+        rather than passing for a wedged PE.
+        """
         sim = self.sim
         name = f"src:{region.entry}"
         core_pool = self._core_pool
@@ -682,22 +701,50 @@ class DesEngine:
         )
         prof_bounds = plan.prof_bounds_src
         prof_ops = plan.prof_ops
+        burst_src = plan.burst_src
+        scheduled = arrivals is not None
+        max_rate = self.graph.operator(region.entry).max_rate
         min_interval = (
-            1.0 / source_op.max_rate
-            if source_op.max_rate is not None
-            else 0.0
+            1.0 / max_rate if max_rate is not None and not scheduled else 0.0
         )
+        drop = scheduled and self._overflow_drop
+        lookahead = scheduled and not drop
+        single = drop or bool(min_interval)
+        ingress = tuple(q for q, _key, _incr, _cost in plan.pushes)
+        if scheduled:
+            arrivals = iter(arrivals)
+        pending: Optional[float] = None
         next_emit = sim.now
         slice_left = 0
         while True:
-            if min_interval:
-                # External arrival pacing (e.g. NIC line rate): wait
-                # until the next tuple is due before competing for a
-                # core.
-                wait = next_emit - sim.now
+            # Scheduled and paced waits stay apart: a shed arrival loops
+            # back here without yielding, so this path stays branch-light.
+            if scheduled:
+                if pending is None:
+                    try:
+                        due = next(arrivals)
+                    except StopIteration:
+                        raise self._schedule_ended(region) from None
+                else:
+                    due, pending = pending, None
+                wait = due - sim.now
                 if wait > 0:
                     if slice_left > 0:
                         # Never hold a core across an idle wait.
+                        slice_left = 0
+                        sim.put_nowait(core_pool, _TOKEN)
+                    yield wait
+                self._offered_count += 1.0
+                self._m_offered.inc()
+                if drop and ingress and any(q.is_full for q in ingress):
+                    # Ingress shed: the arrival never enters the PE.
+                    self._dropped_count += 1.0
+                    self._m_dropped.inc()
+                    continue
+            elif min_interval:
+                wait = next_emit - sim.now
+                if wait > 0:
+                    if slice_left > 0:
                         slice_left = 0
                         sim.put_nowait(core_pool, _TOKEN)
                     yield wait
@@ -713,16 +760,32 @@ class DesEngine:
             if plan.fast and fast_ok:
                 # One event per emitted burst: operator work and push
                 # copies advance together (burst_src cost table), then
-                # the enqueues happen synchronously.  A paced source
-                # emits one tuple per due time; an unpaced one emits a
-                # channel-batch burst per event.
-                b = (
-                    1
-                    if min_interval
-                    else min(plan.max_burst_src, slice_left)
-                )
+                # the enqueues happen synchronously.
+                if lookahead:
+                    # Admit the due backlog as one burst, capped like
+                    # the saturated mode.  A busy source keeps working
+                    # while later arrivals land, so an arrival joins
+                    # when it is due by its own processing slot
+                    # (``burst_src[b]`` from now); a schedule that
+                    # outruns the PE then reproduces the saturated
+                    # event structure, measurements and decisions.
+                    b = 1
+                    b_max = min(plan.max_burst_src, slice_left)
+                    while b < b_max:
+                        try:
+                            nxt = next(arrivals)
+                        except StopIteration:
+                            raise self._schedule_ended(region) from None
+                        if nxt > sim.now + burst_src[b]:
+                            pending = nxt
+                            break
+                        b += 1
+                        self._offered_count += 1.0
+                        self._m_offered.inc()
+                else:
+                    b = 1 if single else min(plan.max_burst_src, slice_left)
                 slice_left -= b
-                dt = plan.burst_src[b]
+                dt = burst_src[b]
                 self._m_batch_flushes.inc()
                 if publish is not None and prof_bounds is not None:
                     publish.set_interval(
@@ -763,150 +826,11 @@ class DesEngine:
                 else:
                     slice_left = _CORE_SLICE
 
-    def _open_loop_source_thread(
-        self, region: Region, arrivals: Iterator[float]
-    ) -> _Req:
-        """Source driven by an external arrival schedule (open loop).
-
-        One iteration per scheduled arrival: sleep until the arrival is
-        due (never holding a core across the wait), then admit the
-        tuple — acquire a core, execute the source's manual region and
-        push downstream.  Under the ``drop`` overflow policy an arrival
-        that finds its ingress queue full is shed immediately and
-        counted, modelling ingress load shedding; under ``block`` the
-        source stalls behind backpressure exactly like the saturated
-        path (draining the consumer inline via ``_push_with_help`` so
-        the PE cannot wedge).
-
-        A slow schedule leaves the thread parked on a future timestamp
-        rather than spinning, so underloaded PEs burn no simulated
-        CPU — which is what makes offered-load utilization measurable.
-
-        Under ``block`` the fast path coalesces the due backlog into
-        one burst per event, capped exactly like the saturated path
-        (``min(max_burst, slice_left)``); an arrival counts as due when
-        it lands by its own processing slot within the burst, since a
-        busy source keeps processing while later arrivals stream in.
-        When the schedule outruns the PE this reproduces the saturated
-        source's event structure — and therefore its timing — so a
-        saturating open-loop schedule yields the same measurements (and
-        the same adaptation decisions) as the classic closed-loop run.
-        ``drop`` keeps strict per-arrival admission: each arrival's
-        shed check must see the queue state at its own admission
-        instant.
-        """
-        sim = self.sim
-        name = f"src:{region.entry}"
-        core_pool = self._core_pool
-        busy_s = self._busy_s
-        plan = self._plans[region.entry]
-        fast_ok = self.profiler is None or self._profiler_sampled
-        publish = (
-            self.registry
-            if self.profiler is not None and fast_ok and plan.fast
-            else None
+    def _schedule_ended(self, region: Region) -> ValueError:
+        return ValueError(
+            f"arrival schedule of source {region.entry} ended at "
+            f"t={self.sim.now!r}; schedules must be infinite"
         )
-        prof_bounds = plan.prof_bounds_src
-        prof_ops = plan.prof_ops
-        drop = self._overflow_drop
-        ingress = tuple(q for q, _key, _incr, _cost in plan.pushes)
-        slice_left = 0
-        arrivals = iter(arrivals)
-        pending: Optional[float] = None
-        while True:
-            if pending is not None:
-                due, pending = pending, None
-            else:
-                try:
-                    due = next(arrivals)
-                except StopIteration:  # pragma: no cover - infinite contract
-                    return
-            wait = due - sim.now
-            if wait > 0:
-                if slice_left > 0:
-                    # Never hold a core across an idle wait.
-                    slice_left = 0
-                    sim.put_nowait(core_pool, _TOKEN)
-                yield wait
-            self._offered_count += 1.0
-            self._m_offered.inc()
-            if drop and ingress and any(q.is_full for q in ingress):
-                # Ingress shed: the arrival never enters the PE.
-                self._dropped_count += 1.0
-                self._m_dropped.inc()
-                continue
-            if slice_left <= 0:
-                if core_pool.items:
-                    core_pool.items.popleft()
-                    core_pool.total_got += 1
-                else:
-                    yield Get(core_pool)
-                slice_left = _CORE_SLICE
-            if plan.fast and fast_ok:
-                b = 1
-                if not drop:
-                    # Admit the backlog as one burst (see above).  A
-                    # busy source keeps processing while later arrivals
-                    # land, so an arrival joins the burst when it is due
-                    # by its own processing slot — the instant the
-                    # already-committed ``b`` tuples finish
-                    # (``burst_src[b]`` from now) — not merely when it
-                    # is due at the burst's start.  Without the
-                    # lookahead a saturating schedule opens with
-                    # undersized bursts (nothing is due yet at t=0) and
-                    # the transient never matches the closed-loop event
-                    # structure.
-                    burst_src = plan.burst_src
-                    b_max = min(plan.max_burst_src, slice_left)
-                    while b < b_max:
-                        try:
-                            nxt = next(arrivals)
-                        except StopIteration:  # pragma: no cover
-                            break
-                        if nxt > sim.now + burst_src[b]:
-                            pending = nxt
-                            break
-                        b += 1
-                        self._offered_count += 1.0
-                        self._m_offered.inc()
-                slice_left -= b
-                dt = plan.burst_src[b]
-                self._m_batch_flushes.inc()
-                if publish is not None and prof_bounds is not None:
-                    publish.set_interval(
-                        name, sim.now, prof_bounds, prof_ops, b
-                    )
-                push = plan.push
-                if push is not None:
-                    queue, queue_op, _push_cost = push
-                    busy_s[name] = busy_s.get(name, 0.0) + dt
-                    yield dt
-                    for _ in range(b):
-                        if sim.put_nowait(queue, _TOKEN):
-                            self._m_pushes.inc()
-                        else:
-                            yield from self._push_with_help(
-                                queue_op, queue, name
-                            )
-                elif dt:
-                    busy_s[name] = busy_s.get(name, 0.0) + dt
-                    yield dt
-                if plan.sink_total:
-                    self._sink_count += plan.sink_total * b
-                    self._m_sink.inc(plan.sink_total * b)
-                for lk in plan.lock_acq:
-                    lk.acquisitions += b
-                self._source_count += b
-                self._m_source.inc(b)
-            else:
-                slice_left -= 1
-                yield from self._region_work(
-                    region, count_source=True, thread_name=name
-                )
-            if slice_left <= 0 and core_pool.getters:
-                sim.put_nowait(core_pool, _TOKEN)
-            elif slice_left <= 0:
-                slice_left = _CORE_SLICE
 
     def _scheduler_thread(self, thread_id: int) -> _Req:
         name = f"sched:{thread_id}"
@@ -1135,8 +1059,7 @@ class DesEngine:
             schedule = self._arrivals.get(region.entry)
             if schedule is not None:
                 self.sim.spawn(
-                    self._open_loop_source_thread(region, schedule),
-                    name=name,
+                    self._source_thread(region, schedule), name=name
                 )
             else:
                 self.sim.spawn(self._source_thread(region), name=name)
@@ -1340,13 +1263,13 @@ def measure_throughput(
     """Convenience wrapper: build, run and measure one configuration.
 
     ``arrivals``/``overflow`` make the run open-loop, ``channel``
-    configures the batched channels (see :class:`DesEngine`).  Historically every caller assumed saturated
-    sources, so low throughput always meant contention; for an
-    underloaded open-loop run the result instead carries
-    ``offered_tuples_per_s`` / ``offered_utilization`` so callers can
-    tell "the PE kept up with a light schedule" apart from "the PE is
-    struggling" — check :attr:`DesResult.underloaded` before reasoning
-    about contention.
+    configures the batched channels (see :class:`DesEngine`).
+    Historically every caller assumed saturated sources, so low
+    throughput always meant contention; for an underloaded open-loop
+    run the result instead carries ``offered_tuples_per_s`` /
+    ``offered_utilization`` so callers can tell "the PE kept up with a
+    light schedule" apart from "the PE is struggling" — check
+    :attr:`DesResult.underloaded` before reasoning about contention.
 
     Warns (``RuntimeWarning``) when the run wedged — every process
     blocked with no pending event — because the throughput measured

@@ -98,11 +98,21 @@ def pe_seed(config: RuntimeConfig, index: int) -> int:
     return config.seed + _PE_SEED_STRIDE * index
 
 
-def real_source_factory(job: JobGraph, arrivals_factory, pe: PeSubgraph):
-    """Scenario open-loop arrivals, re-keyed from full-graph source
-    indices to this PE's subgraph indices."""
+def real_arrivals(
+    job: JobGraph,
+    arrivals_factory,
+    arrivals_key: Optional[Tuple],
+    pe: PeSubgraph,
+) -> Tuple:
+    """Scenario open-loop arrivals for this PE's real sources, re-keyed
+    from full-graph source indices to this PE's subgraph indices.
+
+    Returns ``(factory, cache_key)``; both are None when the scenario
+    is closed-loop or the PE has only ingress pseudo-sources, and the
+    key is None when the scenario's arrivals carry no identity.
+    """
     if arrivals_factory is None:
-        return None
+        return None, None
     full = job.full_graph
     mapping = []  # (full_index, sub_index)
     for op in pe.graph.sources:
@@ -110,7 +120,7 @@ def real_source_factory(job: JobGraph, arrivals_factory, pe: PeSubgraph):
             continue
         mapping.append((full.by_name(op.name).index, op.index))
     if not mapping:
-        return None
+        return None, None
 
     def pe_factory(t0: float):
         streams = arrivals_factory(t0)
@@ -120,33 +130,24 @@ def real_source_factory(job: JobGraph, arrivals_factory, pe: PeSubgraph):
             if full_idx in streams
         }
 
-    return pe_factory
-
-
-def real_source_key(
-    arrivals_factory, arrivals_key: Optional[Tuple], pe: PeSubgraph
-) -> Optional[Tuple]:
-    if arrivals_factory is None or arrivals_key is None:
-        return None
-    if not any(
-        not op.name.startswith("in:") for op in pe.graph.sources
-    ):
-        return None
-    return ("job-real", pe.name, arrivals_key)
+    if arrivals_key is None:
+        return pe_factory, None
+    return pe_factory, ("job-real", pe.name, arrivals_key)
 
 
 def derived_arrivals(
-    pe: PeSubgraph,
+    pe_name: str,
     seed: int,
     rates: Optional[Dict[int, float]],
-    real_factory,
-    real_key: Optional[Tuple],
+    real: Tuple,
 ):
     """This period's arrival schedule for one PE: derived constant-rate
-    streams on the ingress pseudo-sources, merged with any real-source
-    scenario arrivals.  Returns ``(factory, cache_key)``."""
+    streams on the ingress pseudo-sources, merged with the PE's
+    real-source scenario arrivals ``real`` (see :func:`real_arrivals`).
+    Returns ``(factory, cache_key)``."""
     if rates is None:
-        return real_factory, real_key
+        return real
+    real_factory, real_key = real
     procs = {
         idx: ArrivalProcess(
             ArrivalSpec(kind=ArrivalKind.DETERMINISTIC, rate=rate),
@@ -167,7 +168,7 @@ def derived_arrivals(
 
     key: Tuple = (
         "job-ingress",
-        pe.name,
+        pe_name,
         tuple(sorted(rates.items())),
     )
     if real_key is not None:
@@ -176,32 +177,59 @@ def derived_arrivals(
 
 
 def build_pe_runner(
-    job: JobGraph,
     machine: MachineProfile,
     config: RuntimeConfig,
     index: int,
     pe: PeSubgraph,
     runner_kwargs: Dict,
-    arrivals_factory,
-    arrivals_key: Optional[Tuple],
+    real: Tuple,
     obs: Optional[Obs],
     warm_spec: Optional[WarmStartSpec],
 ) -> DesAdaptationRunner:
     """One PE's runner, identical whether built in the parent or in a
-    pool worker (given the same picklable arguments)."""
-    pe_config = replace(config, seed=pe_seed(config, index))
+    pool worker (given the same picklable arguments).  Its config
+    carries the PE's own seed (:func:`pe_seed`); ``real`` is the PE's
+    :func:`real_arrivals`."""
+    real_factory, real_key = real
     runner = DesAdaptationRunner(
         pe.graph,
         machine,
-        pe_config,
+        replace(config, seed=pe_seed(config, index)),
         obs=scoped(obs, f"pe.{pe.name}"),
-        arrivals_factory=real_source_factory(job, arrivals_factory, pe),
-        arrivals_key=real_source_key(arrivals_factory, arrivals_key, pe),
+        arrivals_factory=real_factory,
+        arrivals_key=real_key,
         **runner_kwargs,
     )
     if warm_spec is not None:
         runner.set_warm_start(warm_spec)
     return runner
+
+
+def step_pe(
+    runner: DesAdaptationRunner,
+    pe_name: str,
+    real: Tuple,
+    k: int,
+    rates: Optional[Dict[int, float]],
+) -> Dict:
+    """Adaptation period ``k`` of one PE under this period's ingress
+    ``rates`` (None: the PE runs on its real sources alone).
+
+    The one per-PE step of both execution paths: the sequential loop
+    calls it in-process, a pool worker calls it and adds what the
+    parent must re-home.  The derived schedules are seeded from the
+    runner's own (per-PE) config seed.
+    """
+    runner.set_arrivals(
+        *derived_arrivals(pe_name, runner.config.seed, rates, real)
+    )
+    observed = runner.step_period(k)
+    return {
+        "observed": observed,
+        "threads": runner.threads,
+        "stable": runner.coordinator.is_stable,
+        "result": runner.last_result,
+    }
 
 
 @dataclass(frozen=True)
@@ -278,18 +306,19 @@ class JobAdaptationRunner(ElasticLoop):
             pe.name: pe.replicas for pe in job.pes
         }
         self.runners: Dict[str, DesAdaptationRunner] = {}
-        self._pe_seeds: Dict[str, int] = {}
+        # Per-PE real-source arrivals: (factory, key), see real_arrivals.
+        self._real: Dict[str, Tuple] = {}
         for i, pe in enumerate(job.pes):
-            self._pe_seeds[pe.name] = pe_seed(self.config, i)
+            self._real[pe.name] = real_arrivals(
+                job, arrivals_factory, arrivals_key, pe
+            )
             self.runners[pe.name] = build_pe_runner(
-                job,
                 machine,
                 self.config,
                 i,
                 pe,
                 self._runner_kwargs,
-                arrivals_factory,
-                arrivals_key,
+                self._real[pe.name],
                 self._hub,
                 self._warm_spec,
             )
@@ -406,14 +435,6 @@ class JobAdaptationRunner(ElasticLoop):
     # ------------------------------------------------------------------
     # arrival plumbing
     # ------------------------------------------------------------------
-    def _real_source_factory(self, pe: PeSubgraph):
-        return real_source_factory(self.job, self._arrivals_factory, pe)
-
-    def _real_source_key(self, pe: PeSubgraph) -> Optional[Tuple]:
-        return real_source_key(
-            self._arrivals_factory, self._arrivals_key, pe
-        )
-
     def _router_seed(self, channel_index: int) -> int:
         base = self.job.partition.seed
         if base is None:
@@ -459,19 +480,6 @@ class JobAdaptationRunner(ElasticLoop):
         if not rates:
             return None, effective
         return rates, effective
-
-    def _install_arrivals(
-        self, pe: PeSubgraph, rates: Optional[Dict[int, float]]
-    ) -> None:
-        """Point the PE's runner at this period's arrival schedule."""
-        factory, key = derived_arrivals(
-            pe,
-            self._pe_seeds[pe.name],
-            rates,
-            self._real_source_factory(pe),
-            self._real_source_key(pe),
-        )
-        self.runners[pe.name].set_arrivals(factory, key)
 
     # ------------------------------------------------------------------
     # parallel dispatch topology
@@ -571,7 +579,7 @@ class JobAdaptationRunner(ElasticLoop):
                     offered_utilization=self._offered_utilization(
                         pe.name, rep
                     ),
-                    mean_utilization=rep["mean_util"],
+                    mean_utilization=rep["result"].mean_utilization,
                     threads=rep["threads"],
                     stable=rep["stable"],
                 )
@@ -604,23 +612,16 @@ class JobAdaptationRunner(ElasticLoop):
         """One period, PE by PE in topological order (classic path)."""
         reports: Dict[str, Dict] = {}
         for pe in self.job.pes:
-            runner = self.runners[pe.name]
             rates, effective = self._ingress_schedule(pe)
-            self._install_arrivals(pe, rates)
             self._installed_rate[pe.name] = (
                 sum(rates.values()) if rates else None
             )
-            observed = runner.step_period(k)
-            self._emission[pe.name] = observed * effective
-            reports[pe.name] = {
-                "observed": observed,
-                "effective": effective,
-                "threads": runner.threads,
-                "stable": runner.coordinator.is_stable,
-                "offered_util": runner.last_offered_utilization,
-                "mean_util": runner.last_mean_utilization,
-                "source_rate": runner.last_source_rate,
-            }
+            rep = step_pe(
+                self.runners[pe.name], pe.name, self._real[pe.name], k, rates
+            )
+            rep["effective"] = effective
+            self._emission[pe.name] = rep["observed"] * effective
+            reports[pe.name] = rep
         return reports
 
     def _period_parallel(self, k: int) -> Dict[str, Dict]:
@@ -663,9 +664,7 @@ class JobAdaptationRunner(ElasticLoop):
         runner = self.runners[pe.name]
         runner.threads = rep["threads"]
         runner.placement = rep["placement"]
-        runner.last_offered_utilization = rep["offered_util"]
-        runner.last_mean_utilization = rep["mean_util"]
-        runner.last_source_rate = rep["source_rate"]
+        runner.last_result = rep["result"]
         runner.sim_events = rep["sim_events"]
 
     def _offered_utilization(self, pe_name: str, rep: Dict) -> float:
@@ -677,9 +676,10 @@ class JobAdaptationRunner(ElasticLoop):
         otherwise fall through to the engine's measurement.
         """
         installed = self._installed_rate[pe_name]
-        util = rep["offered_util"]
+        result = rep["result"]
+        util = result.offered_utilization
         if installed is not None and installed > 0.0:
-            util = min(util, rep["source_rate"] / installed)
+            util = min(util, result.source_tuples_per_s / installed)
         return min(1.0, util)
 
     def _total_threads(self) -> int:

@@ -41,13 +41,7 @@ from ..bench import cache
 from ..obs.decisions import Decision
 from ..obs.hub import NULL_HUB, ObservabilityHub
 from ..runtime.pool import WorkerPool
-from .executor import (
-    build_pe_runner,
-    derived_arrivals,
-    pe_seed,
-    real_source_factory,
-    real_source_key,
-)
+from .executor import build_pe_runner, real_arrivals, step_pe
 
 __all__ = ["JobWorkerSession"]
 
@@ -69,9 +63,7 @@ class _WorkerState:
     def __init__(self, hub) -> None:
         self.hub = hub
         self.runners: Dict[str, object] = {}
-        self.pes: Dict[str, object] = {}
-        self.seeds: Dict[str, int] = {}
-        self.real: Dict[str, Tuple] = {}  # (factory, key) per PE
+        self.real: Dict[str, Tuple] = {}  # real_arrivals per PE
         self.decisions_seen = 0
         self.metric_baseline: Dict[str, dict] = {}
         self.shipped_cache_keys: set = set()
@@ -96,23 +88,18 @@ def _init_job_worker(
     for i, pe in enumerate(job.pes):
         if i % n_workers != worker_id:
             continue
+        state.real[pe.name] = real_arrivals(
+            job, arrivals_factory, arrivals_key, pe
+        )
         state.runners[pe.name] = build_pe_runner(
-            job,
             machine,
             config,
             i,
             pe,
             runner_kwargs,
-            arrivals_factory,
-            arrivals_key,
+            state.real[pe.name],
             hub,
             warm_spec,
-        )
-        state.pes[pe.name] = pe
-        state.seeds[pe.name] = pe_seed(config, i)
-        state.real[pe.name] = (
-            real_source_factory(job, arrivals_factory, pe),
-            real_source_key(arrivals_factory, arrivals_key, pe),
         )
     return state
 
@@ -147,18 +134,10 @@ def _step_pe(
     k: int,
     rates: Optional[Dict[int, float]],
 ) -> Dict:
-    """One adaptation period for one PE; returns the re-homing report."""
+    """One adaptation period for one PE (:func:`~repro.job.executor.
+    step_pe`), plus everything the parent must re-home."""
     runner = state.runners[pe_name]
-    real_factory, real_key = state.real[pe_name]
-    factory, key = derived_arrivals(
-        state.pes[pe_name],
-        state.seeds[pe_name],
-        rates,
-        real_factory,
-        real_key,
-    )
-    runner.set_arrivals(factory, key)
-    observed = runner.step_period(k)
+    report = step_pe(runner, pe_name, state.real[pe_name], k, rates)
     if state.hub is NULL_HUB:
         decisions = []
         metrics: Dict[str, dict] = {}
@@ -175,19 +154,14 @@ def _step_pe(
             if state.metric_baseline.get(name) != entry
         }
         state.metric_baseline.update(metrics)
-    return {
-        "observed": observed,
-        "decisions": decisions,
-        "metrics": metrics,
-        "cache": _fresh_cache_entries(state),
-        "threads": runner.threads,
-        "placement": runner.placement,
-        "stable": runner.coordinator.is_stable,
-        "offered_util": runner.last_offered_utilization,
-        "mean_util": runner.last_mean_utilization,
-        "source_rate": runner.last_source_rate,
-        "sim_events": runner.sim_events,
-    }
+    report.update(
+        decisions=decisions,
+        metrics=metrics,
+        cache=_fresh_cache_entries(state),
+        placement=runner.placement,
+        sim_events=runner.sim_events,
+    )
+    return report
 
 
 def _finish_pe(state: _WorkerState, pe_name: str):

@@ -205,7 +205,7 @@ def run_on_des(
         final_threads=result.final_threads,
         final_n_queues=result.final_n_queues,
         decisions=_decisions(hub),
-        offered_utilization=runner.last_offered_utilization,
+        offered_utilization=runner.last_result.offered_utilization,
         dropped_tuples=_counter_value(hub, "des.dropped_tuples"),
         open_loop=compiled.open_loop,
         mean_arrival_rate=compiled.mean_arrival_rate,
@@ -244,8 +244,7 @@ def run_on_job(
         if d.scope == "job"
     )
     offered = min(
-        (r.last_offered_utilization for r in runner.runners.values()),
-        default=1.0,
+        r.last_result.offered_utilization for r in runner.runners.values()
     )
     return ScenarioRunResult(
         scenario=compiled.scenario.name,

@@ -8,11 +8,16 @@ change:
 - the job replica-sweep topology (``src -> work x2 -> snk`` split over
   three PEs, shuffle partitioning, six periods) at ``jobs=1`` and
   ``jobs=2``: every field of every decision record, in order;
-- short single-PE DES runs of three zoo scenarios: every decision
-  field except ``seq``, ``period`` and ``time_s``.  Those three are
-  excluded because a standalone DES run now ticks the hub clock once
-  per period and logs its observations and changes, which gives the
-  decisions real period numbers and shifts their sequence numbers.
+- short single-PE DES runs of three closed-loop zoo scenarios: every
+  decision field except ``seq``, ``period`` and ``time_s``.  Those
+  three are excluded because a standalone DES run now ticks the hub
+  clock once per period and logs its observations and changes, which
+  gives the decisions real period numbers and shifts their sequence
+  numbers;
+- the same digest over four open-loop zoo scenarios (ON/OFF bursts
+  under ``drop`` and ``block``, a flash crowd, a diurnal Poisson
+  envelope), each at its own period count, so the scheduled source
+  path is pinned too.
 
 The digest is blake2b over ``Decision.to_dict()`` as JSON with sorted
 keys, one record per line — the method of
@@ -46,10 +51,21 @@ ZOO = os.path.join(
 JOB_DIGEST = "618fbd4f1561a513e1691b6fb520a34c"
 JOB_DECISIONS = 18
 DES_PERIODS = 12
+# scenario -> (periods, digest)
 DES_DIGESTS = {
-    "fig07-pipeline-saturated": "babad61c7b8d83b3083d286bcf8a1c73",
-    "skewed-cost-pipeline": "2c274ccabc25ff861f09578cb3e3bab9",
-    "tree-bushy": "13a57d72c168201d9c943b559e125df5",
+    "fig07-pipeline-saturated": (
+        DES_PERIODS,
+        "babad61c7b8d83b3083d286bcf8a1c73",
+    ),
+    "skewed-cost-pipeline": (
+        DES_PERIODS,
+        "2c274ccabc25ff861f09578cb3e3bab9",
+    ),
+    "tree-bushy": (DES_PERIODS, "13a57d72c168201d9c943b559e125df5"),
+    "onoff-burst-overflow": (8, "3fa07cae995c8bc0df4a149570420d6e"),
+    "onoff-burst-block": (6, "113db09fa891ca8c129b7262244997b7"),
+    "flash-crowd-spike": (12, "b70a11ef688549bfbccbfd27661aa106"),
+    "diurnal-poisson": (10, "944068ef34e0efb7d0680057320846ad"),
 }
 
 
@@ -102,9 +118,10 @@ def test_job_replica_sweep_log_is_unchanged(jobs):
 
 @pytest.mark.parametrize("name", sorted(DES_DIGESTS))
 def test_des_decision_content_is_unchanged(name):
+    periods, digest = DES_DIGESTS[name]
     scenario = load_scenario(os.path.join(ZOO, f"{name}.yaml"))
     scenario = replace(
-        scenario, run=replace(scenario.run, max_periods=DES_PERIODS)
+        scenario, run=replace(scenario.run, max_periods=periods)
     )
     compiled = compile_scenario(scenario)
     cache.clear()
@@ -112,14 +129,11 @@ def test_des_decision_content_is_unchanged(name):
     result = run_on_des(compiled, obs=hub)
     cache.clear()
     decisions = hub.decisions()
-    assert result.periods == DES_PERIODS
-    assert len(decisions) == DES_PERIODS
-    assert (
-        _digest(decisions, drop=("seq", "period", "time_s"))
-        == DES_DIGESTS[name]
-    )
+    assert result.periods == periods
+    assert len(decisions) == periods
+    assert _digest(decisions, drop=("seq", "period", "time_s")) == digest
     period_s = compiled.config.elasticity.adaptation_period_s
-    assert [d.period for d in decisions] == list(range(DES_PERIODS))
+    assert [d.period for d in decisions] == list(range(periods))
     assert [d.time_s for d in decisions] == [
-        k * period_s for k in range(1, DES_PERIODS + 1)
+        k * period_s for k in range(1, periods + 1)
     ]
