@@ -1,89 +1,88 @@
 """Extension experiment (beyond the paper): multi-PE jobs.
 
 §2 of the paper: "all PEs in a job independently use the proposed work
-to maximize their performance."  This bench runs a three-stage job —
-each PE on its own (simulated) host with its own coordinator, coupled
-only through inter-PE backpressure — and checks the joint outcome.
+to maximize their performance."  This bench cuts one 250-operator
+chain into a three-PE job — each PE on its own (simulated) host with
+its own coordinator, coupled only through inter-PE backpressure (each
+PE's ingress capped at its upstream's emission, round-robin channels
+to single replicas) — runs it on the analytical model and checks the
+joint outcome.
 
 Shape assertions:
-- the job reaches a fixed point in a small number of adaptation rounds;
-- exactly one stage is the bottleneck and the downstream stages are
-  rate-matched to it (no stage wastes resources outrunning its input);
-- the non-bottleneck stages settle with spare capacity headroom
-  (they would go faster if fed faster).
+- exactly one PE is the bottleneck: the ingest PE runs uncapped, and
+  at most one downstream PE falls short of its ingress cap;
+- every PE downstream of the bottleneck is rate-matched to it (within
+  10 % of its cap: no PE starves behind a PE that keeps up);
+- the job's throughput is the bottleneck's, and every PE settles on
+  a valid configuration.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from _bench_util import record, run_once
 
+from repro.bench.figures import three_pe_chain_job
 from repro.bench.reporting import format_table
-from repro.graph import assign_costs, pipeline, skewed
-from repro.perfmodel import laptop, xeon_176
+from repro.job import JobAdaptationRunner
 from repro.runtime import RuntimeConfig
-from repro.runtime.job import Job
+from repro.scenarios.schema import Backend
 
 
 def _experiment():
-    ingest = pipeline(
-        20, cost_flops=500.0, payload_bytes=512, name="pe-ingest"
+    job, hosts = three_pe_chain_job()
+    runner = JobAdaptationRunner(
+        job, hosts, RuntimeConfig(seed=7), backend=Backend.PERFMODEL
     )
-    analytics = assign_costs(
-        pipeline(200, payload_bytes=512, name="pe-analytics"),
-        skewed(),
-        rng=np.random.default_rng(0),
+    result = runner.run(
+        runner.periods_for(15_000.0), stop_after_stable_periods=16
     )
-    reporting = pipeline(
-        30, cost_flops=1000.0, payload_bytes=256, name="pe-reporting"
-    )
-    job = Job(
-        [
-            (ingest, laptop(4)),
-            (analytics, xeon_176().with_cores(64)),
-            (reporting, laptop(8)),
-        ],
-        config=RuntimeConfig(seed=7),
-    )
-    return job.run(duration_s_per_stage=15_000.0)
+    stages = []
+    for pe in job.pes:
+        graph = runner.runners[pe.name].graph
+        caps = [graph.by_name(name).max_rate for name in pe.ingress]
+        cap = caps[0] if caps else None
+        stages.append((pe.name, result.pe_results[pe.name], cap))
+    return result, stages
 
 
 def test_ext_multi_pe(benchmark):
-    result = run_once(benchmark, _experiment)
+    result, stages = run_once(benchmark, _experiment)
+    throughput = {name: r.converged_throughput for name, r, _cap in stages}
+    short = [
+        name
+        for name, r, cap in stages
+        if cap is not None and r.converged_throughput < 0.9 * cap
+    ]
+    bottleneck = short[-1] if short else stages[0][0]
     record(
         "ext_multi_pe",
         format_table(
-            ["stage", "throughput T/s", "input cap T/s", "threads", "queues"],
+            ["PE", "throughput T/s", "input cap T/s", "threads", "queues"],
             [
                 [
-                    s.name,
-                    s.throughput,
-                    s.input_cap if s.input_cap else "-",
-                    s.threads,
-                    s.n_queues,
+                    name,
+                    r.converged_throughput,
+                    cap if cap else "-",
+                    r.final_threads,
+                    r.final_n_queues,
                 ]
-                for s in result.stages
+                for name, r, cap in stages
             ],
             title=(
                 "Extension -- 3-PE job, independent per-PE elasticity "
-                f"(converged in {result.rounds} rounds, bottleneck "
-                f"{result.bottleneck_stage})"
+                f"(settled after {len(result.trace.observations)} "
+                f"periods, bottleneck {bottleneck})"
             ),
         ),
     )
 
-    assert result.rounds <= 3
-    stages = {s.name: s for s in result.stages}
-    bottleneck = stages[result.bottleneck_stage]
-    # Downstream stages are rate-matched to the bottleneck.
-    for s in result.stages:
-        assert s.throughput >= 0.9 * min(
-            bottleneck.throughput, s.throughput
-        )
-    assert (
-        result.job_throughput
-        <= min(s.throughput for s in result.stages) * 1.05
-    )
-    # Every stage converged to a valid configuration.
-    for s in result.stages:
-        assert s.threads >= 1
+    assert stages[0][2] is None
+    assert len(short) <= 1
+    # PEs downstream of the bottleneck are rate-matched to it.
+    names = [name for name, _r, _cap in stages]
+    for name, r, cap in stages[names.index(bottleneck) + 1:]:
+        assert r.converged_throughput >= 0.9 * cap
+        assert cap <= throughput[bottleneck] * 1.05
+    assert result.converged_throughput <= min(throughput.values()) * 1.05
+    for _name, r, _cap in stages:
+        assert r.final_threads >= 1

@@ -3,55 +3,52 @@
 
 The paper scopes its mechanism to one PE and notes that "all PEs in a
 job independently use the proposed work to maximize their performance".
-This example builds a three-stage job — ingest on a small edge box,
-analytics on a big server, reporting on a medium one — and lets each
-PE's own multi-level coordinator adapt, with network backpressure
-coupling the stages.
+This example cuts one 250-operator chain into a three-PE job — ingest
+on a small edge box, analytics on a big server, reporting on a medium
+one — and lets each PE's own multi-level coordinator adapt on the
+analytical model.  Round-robin channels to single replicas couple the
+PEs: each period, a PE's ingress is capped at what its upstream PE
+emitted in that period (network backpressure).
 
 Run:  python examples/multi_pe_job.py
 """
 
-from repro.graph import assign_costs, pipeline, skewed
-from repro.perfmodel import laptop, xeon_176
+from repro.bench.figures import three_pe_chain_job
+from repro.job import JobAdaptationRunner
 from repro.runtime import RuntimeConfig
-from repro.runtime.job import Job
+from repro.scenarios.schema import Backend
 
-import numpy as np
 
 def main() -> None:
-    ingest = pipeline(
-        20, cost_flops=500.0, payload_bytes=512, name="pe-ingest"
+    job, hosts = three_pe_chain_job()
+    runner = JobAdaptationRunner(
+        job, hosts, RuntimeConfig(seed=7), backend=Backend.PERFMODEL
     )
-    analytics = assign_costs(
-        pipeline(200, payload_bytes=512, name="pe-analytics"),
-        skewed(),
-        rng=np.random.default_rng(0),
-    )
-    reporting = pipeline(
-        30, cost_flops=1000.0, payload_bytes=256, name="pe-reporting"
+    result = runner.run(
+        runner.periods_for(10_000.0), stop_after_stable_periods=16
     )
 
-    job = Job(
-        [
-            (ingest, laptop(4)),          # small edge host
-            (analytics, xeon_176().with_cores(64)),  # big server
-            (reporting, laptop(8)),       # medium host
-        ],
-        config=RuntimeConfig(seed=7),
+    print(f"job settled after {len(result.trace.observations)} periods")
+    print(f"job throughput: {result.converged_throughput:,.0f} tuples/s\n")
+    header = (
+        f"{'PE':<10s} {'throughput':>14s} {'input cap':>14s} "
+        f"{'threads':>8s} {'queues':>7s}"
     )
-    result = job.run(duration_s_per_stage=10_000.0)
-
-    print(f"job converged in {result.rounds} adaptation round(s)")
-    print(f"job throughput: {result.job_throughput:,.0f} tuples/s "
-          f"(bottleneck: {result.bottleneck_stage})\n")
-    header = f"{'stage':<14s} {'throughput':>14s} {'input cap':>14s} " \
-             f"{'threads':>8s} {'queues':>7s}"
     print(header)
     print("-" * len(header))
-    for s in result.stages:
-        cap = f"{s.input_cap:,.0f}" if s.input_cap else "-"
-        print(f"{s.name:<14s} {s.throughput:>14,.0f} {cap:>14s} "
-              f"{s.threads:>8d} {s.n_queues:>7d}")
+    for pe in job.pes:
+        stage = result.pe_results[pe.name]
+        caps = [
+            runner.runners[pe.name].graph.by_name(name).max_rate
+            for name in pe.ingress
+        ]
+        cap = f"{caps[0]:,.0f}" if caps and caps[0] else "-"
+        print(
+            f"{pe.name:<10s} {stage.converged_throughput:>14,.0f} "
+            f"{cap:>14s} {stage.final_threads:>8d} "
+            f"{stage.final_n_queues:>7d}"
+        )
+
 
 if __name__ == "__main__":
     main()

@@ -35,6 +35,7 @@ from ..graph.analysis import queueable_indices
 from ..graph.model import StreamGraph
 from ..perfmodel.machine import MachineProfile
 from ..runtime.config import ElasticityConfig, RuntimeConfig
+from ..runtime.events import AdaptationTrace
 from ..runtime.executor import AdaptationExecutor
 from ..runtime.pe import ProcessingElement
 from ..runtime.queues import QueuePlacement
@@ -192,18 +193,10 @@ def ablate_coordination(
         settling_time_s=periods * config.elasticity.adaptation_period_s,
         final_threads=tc.current,
         final_n_queues=placement.n_queues,
-        saso=analyze(
-            iterative_trace_placeholder(),
-        ),
+        # Driven outside the executor: no trace to analyze.
+        saso=analyze(AdaptationTrace.empty()),
     )
     return [iterative, one_shot]
-
-
-def iterative_trace_placeholder():
-    """Empty trace for arms driven outside the executor."""
-    from ..runtime.events import AdaptationTrace
-
-    return AdaptationTrace.empty()
 
 
 # ----------------------------------------------------------------------

@@ -611,3 +611,57 @@ def scenario_bench(
     path = find_scenario(name, scenario_dir)
     compiled = load_compiled(path)
     return run_scenario(compiled, backend=backend)
+
+
+# ----------------------------------------------------------------------
+# Extension — a multi-PE job on heterogeneous hosts
+# ----------------------------------------------------------------------
+def three_pe_chain_job():
+    """One 250-operator chain cut into a three-PE job.
+
+    ``src -> 20 ingest ops (500 FLOPs) -> 200 skewed analytics ops ->
+    30 reporting ops (1000 FLOPs) -> snk`` with 512 B tuples; ingest
+    runs on laptop(4), analytics on a 64-core Xeon, reporting on
+    laptop(8).  Round-robin channels to single replicas shape every
+    cut, so each PE's ingress is capped at its upstream's emission.
+    Returns ``(job, hosts)``, hosts keyed by PE name.
+    """
+    from ..graph.builder import GraphBuilder
+    from ..job.graph import build_job_graph
+    from ..scenarios.schema import PartitionSpec, PartitionStrategy, PeSpec
+
+    analytics = assign_costs(
+        pipeline(200), skewed(), rng=np.random.default_rng(0)
+    )
+    stages = {
+        "ingest": [(f"in{i}", 500.0) for i in range(20)],
+        "analytics": [
+            (f"an{i}", analytics.by_name(f"op{i}").cost_flops)
+            for i in range(200)
+        ],
+        "reporting": [(f"rep{i}", 1000.0) for i in range(30)],
+    }
+    b = GraphBuilder("three-stage", payload_bytes=512)
+    b.chain(
+        b.add_source("src"),
+        *(
+            b.add_operator(name, cost_flops=cost)
+            for chain in stages.values()
+            for name, cost in chain
+        ),
+        b.add_sink("snk"),
+    )
+    names = {stage: [n for n, _ in ops] for stage, ops in stages.items()}
+    names["ingest"].insert(0, "src")
+    names["reporting"].append("snk")
+    job = build_job_graph(
+        b.build(),
+        [PeSpec(name=n, operators=tuple(ops)) for n, ops in names.items()],
+        PartitionSpec(strategy=PartitionStrategy.ROUND_ROBIN),
+    )
+    hosts = {
+        "ingest": laptop(4),
+        "analytics": xeon_176().with_cores(64),
+        "reporting": laptop(8),
+    }
+    return job, hosts

@@ -21,7 +21,7 @@ threading model, how many threads), never the graph itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -435,6 +435,26 @@ class StreamGraph:
         """
         new_ops = [
             op.with_cost(costs.get(op.index, op.cost_flops))
+            for op in self._operators
+        ]
+        return StreamGraph(
+            new_ops, self._edges, tuple_spec=self.tuple_spec, name=self.name
+        )
+
+    def with_source_rates(
+        self, rates: Dict[int, Optional[float]]
+    ) -> "StreamGraph":
+        """Return a new graph whose sources in ``rates`` (index ->
+        ``max_rate``, None lifts the cap) are capped; the rest keep
+        theirs.  This is how offered load reaches the performance
+        model (``limiting_factor == "source_rate"``)."""
+        for index in rates:
+            if not self._operators[index].is_source:
+                raise ValueError(f"operator {index} is not a source")
+        new_ops = [
+            replace(op, max_rate=rates[op.index])
+            if op.index in rates
+            else op
             for op in self._operators
         ]
         return StreamGraph(

@@ -1,10 +1,9 @@
-"""repro.job — multi-PE job graphs over the tuple-level DES.
+"""repro.job — multi-PE job graphs on either substrate.
 
 The paper scopes its elasticity mechanism to one PE and notes that
-"all PEs in a job independently use the proposed work" (§2).  The
-perfmodel-side :mod:`repro.runtime.job` already models a *chain* of
-independently-adapting PEs coupled by rate caps; this package is the
-DES-side generalization:
+"all PEs in a job independently use the proposed work" (§2).  This
+package models that setting once, for the tuple-level DES and the
+analytical model alike:
 
 - :mod:`repro.job.graph` partitions one scenario topology into a DAG
   of PE subgraphs with materialized inter-PE channels
@@ -15,14 +14,14 @@ DES-side generalization:
 - :mod:`repro.job.coordinator` is the job-level control loop that
   scales elastic PEs out/in and arbitrates a shared thread budget —
   while every PE keeps its *own* §3.1–3.3 multi-level coordinator;
-- :mod:`repro.job.executor` runs the per-PE
-  :class:`~repro.des.adaptation.DesAdaptationRunner` loops in lockstep
-  periods, coupling downstream offered load to upstream measured
-  emission.
+- :mod:`repro.job.executor` runs one adaptation loop per PE (a DES
+  runner or a perfmodel executor, per ``backend``) in lockstep
+  periods, coupling downstream offered load to upstream emission.
 
 Import direction: this package imports :mod:`repro.scenarios.schema`
-(for the partition vocabulary) and :mod:`repro.des`; the scenario
-*runner* imports us lazily.  Nothing here imports
+(for the partition and backend vocabulary), :mod:`repro.des` and
+:mod:`repro.runtime`; the scenario *runner* imports us lazily.
+Nothing here imports
 :mod:`repro.scenarios.run` or :mod:`repro.scenarios.compile`.
 """
 

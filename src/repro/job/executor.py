@@ -1,23 +1,33 @@
-"""Lockstep multi-PE adaptation over the tuple-level DES.
+"""Lockstep multi-PE adaptation on either substrate.
 
-The :class:`JobAdaptationRunner` drives one
-:class:`~repro.des.adaptation.DesAdaptationRunner` per PE of a
+The :class:`JobAdaptationRunner` drives one PE runner per PE of a
 :class:`~repro.job.graph.JobGraph` through the *same* sequence of
-adaptation periods, coupling them through the job's channels:
+adaptation periods, coupling them through the job's channels.  The
+``backend`` picks the substrate every PE runs on:
+
+- ``des`` — a :class:`DesPe`, the tuple-level
+  :class:`~repro.des.adaptation.DesAdaptationRunner`, whose ingress
+  pseudo-sources get a derived *constant-rate* arrival schedule;
+- ``perfmodel`` — a :class:`PerfmodelPe`, the analytical
+  :class:`~repro.runtime.executor.AdaptationExecutor`, whose ingress
+  pseudo-sources are capped at the derived rate through their
+  ``max_rate``.
+
+Either way:
 
 - every PE keeps its own multi-level coordinator (its own seed,
-  derived as ``config.seed + 17*i`` in PE topological order — the
-  :mod:`repro.runtime.job` idiom — so PEs never share random
-  decisions) and publishes into the shared hub through a
-  ``pe.<name>`` scope;
+  derived as ``config.seed + 17*i`` in PE topological order, so PEs
+  never share random decisions) and publishes into the shared hub
+  through a ``pe.<name>`` scope.  ``machine`` is one host profile or
+  a PE-name -> profile mapping (heterogeneous hosts);
 - each period runs in PE-topological order: before a PE's period, its
-  ingress pseudo-sources get a derived *constant-rate* arrival
-  schedule equal to the upstream PE's measured emission split by the
-  channel's partition routing — the hottest replica's share, since
-  the simulated replica stands in for the hottest one;
+  ingress rate is the upstream PE's *true* emission (noise-free on
+  the model) split by the channel's partition routing — the hottest
+  replica's share, since the simulated replica stands in for the
+  hottest one;
 - ``forward`` channels do no rate shaping at all: the downstream PE
-  runs saturated closed-loop, byte-identical to a standalone run of
-  its extracted subgraph (the multi-PE equivalence tests pin this);
+  runs saturated, byte-identical to a standalone run of its extracted
+  subgraph (the multi-PE equivalence tests pin this);
 - after all PEs step, the :class:`~repro.job.coordinator.
   JobCoordinator` scales elastic PEs' replica counts out/in from
   their offered-load utilization, under an optional job-wide thread
@@ -57,7 +67,7 @@ coupling at all, so every PE lands in one wave.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..bench import cache
 from ..core.warmstart import PhaseRecord, PhaseStore, WarmStartSpec
@@ -68,18 +78,29 @@ from ..obs.scope import scoped
 from ..perfmodel.machine import MachineProfile
 from ..runtime.config import RuntimeConfig
 from ..runtime.events import AdaptationTrace, Observation
+from ..runtime.executor import AdaptationExecutor
 from ..runtime.loop import ElasticLoop, ExecutionResult
+from ..runtime.pe import ProcessingElement
 from ..runtime.pool import POOL_START_ERRORS, WorkerPoolError, job_workers
 from ..scenarios.arrivals import ArrivalProcess
-from ..scenarios.schema import ArrivalKind, ArrivalSpec, PartitionStrategy
+from ..scenarios.schema import (
+    ArrivalKind,
+    ArrivalSpec,
+    Backend,
+    PartitionStrategy,
+)
 from .coordinator import JobCoordinator, PeSummary
 from .graph import JobGraph, PeSubgraph
 from .partition import Router, make_router
 
-# Seed stride between PE coordinators (matches repro.runtime.job).
+# Seed stride between PE coordinators: PE i runs on seed + 17*i.
 _PE_SEED_STRIDE = 17
 # Seed stride between channel routers.
 _CHANNEL_SEED_STRIDE = 1_000_003
+
+
+# One host profile for every PE, or a PE-name -> profile mapping.
+Machines = Union[MachineProfile, Mapping[str, MachineProfile]]
 
 
 def _quantize(rate: float) -> float:
@@ -176,59 +197,150 @@ def derived_arrivals(
     return factory, key
 
 
+class DesPe(DesAdaptationRunner):
+    """A job PE on the tuple-level DES: before each period its ingress
+    pseudo-sources get the derived constant-rate schedule
+    (:func:`derived_arrivals`), merged with its real-source arrivals
+    ``real`` (:func:`real_arrivals`)."""
+
+    def __init__(
+        self, pe: PeSubgraph, real: Tuple, machine, config, obs, **kwargs
+    ) -> None:
+        super().__init__(
+            pe.graph,
+            machine,
+            config,
+            obs=obs,
+            arrivals_factory=real[0],
+            arrivals_key=real[1],
+            **kwargs,
+        )
+        self._pe_name = pe.name
+        self._real = real
+
+    def install_ingress(self, rates: Optional[Dict[int, float]]) -> None:
+        self.set_arrivals(
+            *derived_arrivals(
+                self._pe_name, self.config.seed, rates, self._real
+            )
+        )
+
+    def utilization(
+        self, rates: Optional[Dict[int, float]]
+    ) -> Tuple[float, float]:
+        """``(offered, mean)`` utilization of the last period.
+
+        Under a derived ingress rate, admitted over installed is
+        authoritative: the engine's own offered figure is blind under
+        ``block`` overflow (a backpressured source stops pulling the
+        schedule, so offered ≈ admitted ≈ 1.0), but the executor
+        *chose* the offered rate.
+        """
+        result = self.last_result
+        util = result.offered_utilization
+        installed = sum(rates.values()) if rates else None
+        if installed is not None and installed > 0.0:
+            util = min(util, result.source_tuples_per_s / installed)
+        return min(1.0, util), result.mean_utilization
+
+
+class PerfmodelPe(AdaptationExecutor):
+    """A job PE on the analytical model: its ingress pseudo-sources
+    are capped at the derived channel rate through their ``max_rate``
+    (a zero or missing rate lifts the cap, as an unscheduled DES
+    source runs saturated)."""
+
+    def __init__(self, pe: PeSubgraph, machine, config, obs) -> None:
+        super().__init__(
+            ProcessingElement(pe.graph, machine, config), obs=obs
+        )
+        self._caps = {pe.ingress_index(name): None for name in pe.ingress}
+
+    def install_ingress(self, rates: Optional[Dict[int, float]]) -> None:
+        caps = {idx: (rates or {}).get(idx) or None for idx in self._caps}
+        if caps != self._caps:
+            self._caps = caps
+            self.pe.set_graph(self.pe.graph.with_source_rates(caps))
+
+    def utilization(
+        self, rates: Optional[Dict[int, float]]
+    ) -> Tuple[float, float]:
+        """``(offered, mean)``: admitted over installed ingress rate,
+        and throughput over the tightest bound other than the source
+        rate (how busy the binding resource is)."""
+        est = self.pe.estimate()
+        installed = sum(rates.values()) if rates else 0.0
+        offered = est.throughput / installed if installed > 0.0 else 1.0
+        capacity = min(
+            est.serial_bound,
+            est.source_class_bound,
+            est.scheduler_class_bound,
+            est.memory_bound,
+        )
+        mean = est.throughput / capacity if capacity > 0.0 else 1.0
+        return min(1.0, offered), mean
+
+
 def build_pe_runner(
-    machine: MachineProfile,
-    config: RuntimeConfig,
+    job: JobGraph,
     index: int,
-    pe: PeSubgraph,
-    runner_kwargs: Dict,
-    real: Tuple,
+    backend: Backend,
+    machine: Machines,
+    config: RuntimeConfig,
+    des_kwargs: Dict,
     obs: Optional[Obs],
     warm_spec: Optional[WarmStartSpec],
-) -> DesAdaptationRunner:
-    """One PE's runner, identical whether built in the parent or in a
-    pool worker (given the same picklable arguments).  Its config
-    carries the PE's own seed (:func:`pe_seed`); ``real`` is the PE's
-    :func:`real_arrivals`."""
-    real_factory, real_key = real
-    runner = DesAdaptationRunner(
-        pe.graph,
-        machine,
-        replace(config, seed=pe_seed(config, index)),
-        obs=scoped(obs, f"pe.{pe.name}"),
-        arrivals_factory=real_factory,
-        arrivals_key=real_key,
-        **runner_kwargs,
-    )
+):
+    """The ``index``-th PE's runner on ``backend``, identical whether
+    built in the parent or in a pool worker (given the same picklable
+    arguments).  Its config carries the PE's own seed
+    (:func:`pe_seed`) and, when ``machine`` maps PE names to hosts,
+    its host's core count.  ``des_kwargs`` are the DES runner's
+    keywords, with the full-graph ``arrivals_factory``/``arrivals_key``
+    re-keyed per PE (:func:`real_arrivals`)."""
+    pe = job.pes[index]
+    config = replace(config, seed=pe_seed(config, index))
+    if not isinstance(machine, MachineProfile):
+        machine = machine[pe.name]
+        config = replace(config, cores=machine.logical_cores)
+    obs = scoped(obs, f"pe.{pe.name}")
+    if backend is Backend.PERFMODEL:
+        runner = PerfmodelPe(pe, machine, config, obs)
+    else:
+        kwargs = dict(des_kwargs)
+        real = real_arrivals(
+            job,
+            kwargs.pop("arrivals_factory"),
+            kwargs.pop("arrivals_key"),
+            pe,
+        )
+        runner = DesPe(pe, real, machine, config, obs, **kwargs)
     if warm_spec is not None:
         runner.set_warm_start(warm_spec)
     return runner
 
 
-def step_pe(
-    runner: DesAdaptationRunner,
-    pe_name: str,
-    real: Tuple,
-    k: int,
-    rates: Optional[Dict[int, float]],
-) -> Dict:
-    """Adaptation period ``k`` of one PE under this period's ingress
-    ``rates`` (None: the PE runs on its real sources alone).
+def step_pe(runner, k: int, rates: Optional[Dict[int, float]]) -> Dict:
+    """Adaptation period ``k`` of one PE (a :class:`DesPe` or a
+    :class:`PerfmodelPe`) under this period's ingress ``rates`` (None:
+    the PE runs on its real sources alone).
 
     The one per-PE step of both execution paths: the sequential loop
     calls it in-process, a pool worker calls it and adds what the
-    parent must re-home.  The derived schedules are seeded from the
-    runner's own (per-PE) config seed.
+    parent must re-home.  ``true`` is the period's noise-free sink
+    throughput, which the channels couple on.
     """
-    runner.set_arrivals(
-        *derived_arrivals(pe_name, runner.config.seed, rates, real)
-    )
+    runner.install_ingress(rates)
     observed = runner.step_period(k)
+    offered, mean = runner.utilization(rates)
     return {
         "observed": observed,
+        "true": runner.trace.observations[-1].true_throughput,
         "threads": runner.threads,
+        "n_queues": runner.placement.n_queues,
         "stable": runner.coordinator.is_stable,
-        "result": runner.last_result,
+        "offered_utilization": offered,
+        "mean_utilization": mean,
     }
 
 
@@ -255,12 +367,14 @@ class JobAdaptationRunner(ElasticLoop):
     An :class:`~repro.runtime.loop.ElasticLoop` with its own
     ``step_period``: one period steps every PE, then the job
     coordinator; the loop supplies ``run`` and the stable-streak stop.
+    Every PE runs on ``backend``; the DES keywords (``warmup_s`` to
+    ``channel``) only reach DES PEs.
     """
 
     def __init__(
         self,
         job: JobGraph,
-        machine: MachineProfile,
+        machine: Machines,
         config: Optional[RuntimeConfig] = None,
         warmup_s: float = 0.002,
         measure_s: float = 0.01,
@@ -274,9 +388,11 @@ class JobAdaptationRunner(ElasticLoop):
         channel: Optional[ChannelConfig] = None,
         thread_budget: Optional[int] = None,
         jobs: Optional[int] = None,
+        backend: Backend = Backend.DES,
     ) -> None:
         self.job = job
         self.machine = machine
+        self.backend = backend
         config = config if config is not None else RuntimeConfig()
         super().__init__(
             config,
@@ -285,17 +401,18 @@ class JobAdaptationRunner(ElasticLoop):
                 obs=ensure_hub(obs), thread_budget=thread_budget
             ),
         )
-        self._arrivals_factory = arrivals_factory
-        self._arrivals_key = arrivals_key
         # Worker-pool width: the ``jobs`` argument (e.g. the CLI's
         # ``--jobs``) wins, then REPRO_JOB_WORKERS, then 1 (sequential).
         self.jobs = job_workers(jobs)
-        self._runner_kwargs = dict(
+        # DES PE keywords (the perfmodel substrate takes none).
+        self._des_kwargs = dict(
             warmup_s=warmup_s,
             measure_s=measure_s,
             queue_capacity=queue_capacity,
             profile_from_execution=profile_from_execution,
             sampled_profiling=sampled_profiling,
+            arrivals_factory=arrivals_factory,
+            arrivals_key=arrivals_key,
             overflow=overflow,
             channel=channel,
         )
@@ -305,23 +422,19 @@ class JobAdaptationRunner(ElasticLoop):
         self.replicas: Dict[str, int] = {
             pe.name: pe.replicas for pe in job.pes
         }
-        self.runners: Dict[str, DesAdaptationRunner] = {}
-        # Per-PE real-source arrivals: (factory, key), see real_arrivals.
-        self._real: Dict[str, Tuple] = {}
-        for i, pe in enumerate(job.pes):
-            self._real[pe.name] = real_arrivals(
-                job, arrivals_factory, arrivals_key, pe
-            )
-            self.runners[pe.name] = build_pe_runner(
+        self.runners = {
+            pe.name: build_pe_runner(
+                job,
+                i,
+                backend,
                 machine,
                 self.config,
-                i,
-                pe,
-                self._runner_kwargs,
-                self._real[pe.name],
+                self._des_kwargs,
                 self._hub,
                 self._warm_spec,
             )
+            for i, pe in enumerate(job.pes)
+        }
         self._routers: Dict[int, Router] = {}
         self._rebuild_routers()
         # Aggregate emission (tuples/s over all sinks x all replicas)
@@ -329,18 +442,9 @@ class JobAdaptationRunner(ElasticLoop):
         self._emission: Dict[str, Optional[float]] = {
             pe.name: None for pe in job.pes
         }
-        # Total ingress rate installed on each PE this period (None =
-        # ran saturated).  The engine's offered_utilization is blind
-        # under ``block`` overflow — a backpressured source stops
-        # pulling the schedule, so offered ≈ admitted ≈ 1.0 — but the
-        # executor *chose* the offered rate, so admitted/installed is
-        # the honest utilization either way.
-        self._installed_rate: Dict[str, Optional[float]] = {
-            pe.name: None for pe in job.pes
-        }
-        # Per-PE coordinator stability as of the last completed period
-        # (mirrored from worker reports in parallel mode).
-        self._pe_stable: Dict[str, bool] = {}
+        # Each PE's report from the last completed period (see
+        # step_pe), whether it stepped in-process or in a worker.
+        self._reports: Dict[str, Dict] = {}
         # Live parallel session while run() drives a worker pool, and
         # the per-PE results it fetched at the end of the run.
         self._session = None
@@ -527,11 +631,10 @@ class JobAdaptationRunner(ElasticLoop):
         try:
             return JobWorkerSession(
                 job=self.job,
+                backend=self.backend,
                 machine=self.machine,
                 config=self.config,
-                runner_kwargs=self._runner_kwargs,
-                arrivals_factory=self._arrivals_factory,
-                arrivals_key=self._arrivals_key,
+                des_kwargs=self._des_kwargs,
                 warm_spec=self._warm_spec,
                 detached=not self._hub.enabled,
                 n_workers=n_workers,
@@ -552,39 +655,33 @@ class JobAdaptationRunner(ElasticLoop):
         job throughput observed this period."""
         time_s = k * self.period_s
         self._hub.tick(time_s)
-        if self._session is not None:
-            reports = self._period_parallel(k)
-        else:
-            reports = self._period_sequential(k)
+        reports = self._period(k)
         # Ordered pass: re-home worker-side effects and build the
         # coordinator's view in deterministic PE order, so the merged
         # decision log is identical however the period executed.
         job_throughput = 0.0
+        job_true = 0.0
         summaries: List[PeSummary] = []
         for pe in self.job.pes:
             rep = reports[pe.name]
             if self._session is not None:
-                self._absorb_report(pe, rep)
-            job_throughput += (
-                rep["observed"]
-                * rep["effective"]
-                * pe.real_sink_weight()
-            )
+                self._absorb_report(rep)
+            weight = pe.real_sink_weight()
+            job_throughput += rep["observed"] * rep["effective"] * weight
+            job_true += rep["true"] * rep["effective"] * weight
             summaries.append(
                 PeSummary(
                     name=pe.name,
                     replicas=self.replicas[pe.name],
                     max_replicas=pe.max_replicas,
                     elastic=pe.elastic,
-                    offered_utilization=self._offered_utilization(
-                        pe.name, rep
-                    ),
-                    mean_utilization=rep["result"].mean_utilization,
+                    offered_utilization=rep["offered_utilization"],
+                    mean_utilization=rep["mean_utilization"],
                     threads=rep["threads"],
                     stable=rep["stable"],
                 )
             )
-            self._pe_stable[pe.name] = rep["stable"]
+        self._reports = reports
         action = self.coordinator.step(summaries, job_throughput)
         if action.changed:
             self.replicas.update(action.set_replicas)
@@ -600,7 +697,7 @@ class JobAdaptationRunner(ElasticLoop):
             Observation(
                 time_s=time_s,
                 throughput=job_throughput,
-                true_throughput=job_throughput,
+                true_throughput=job_true,
                 threads=self._total_threads(),
                 n_queues=self._total_queues(),
                 mode="job",
@@ -608,112 +705,89 @@ class JobAdaptationRunner(ElasticLoop):
         )
         return job_throughput
 
-    def _period_sequential(self, k: int) -> Dict[str, Dict]:
-        """One period, PE by PE in topological order (classic path)."""
-        reports: Dict[str, Dict] = {}
-        for pe in self.job.pes:
-            rates, effective = self._ingress_schedule(pe)
-            self._installed_rate[pe.name] = (
-                sum(rates.values()) if rates else None
-            )
-            rep = step_pe(
-                self.runners[pe.name], pe.name, self._real[pe.name], k, rates
-            )
-            rep["effective"] = effective
-            self._emission[pe.name] = rep["observed"] * effective
-            reports[pe.name] = rep
-        return reports
+    def _period(self, k: int) -> Dict[str, Dict]:
+        """One period, wave by wave (:meth:`_waves`).
 
-    def _period_parallel(self, k: int) -> Dict[str, Dict]:
-        """One period, fanning each wave across the worker pool.
-
-        Emission updates happen as each wave collects, so the next
-        wave's derived rates see exactly what the sequential loop
-        would have; everything hub-visible inside the reports is
-        deferred to the ordered pass in :meth:`step_period`.
+        Every PE of a wave gets its ingress rates and steps, in-process
+        or fanned across the worker pool; only then does the wave
+        publish its emission, so the next wave's derived rates see
+        what the sequential loop (one PE per wave, in topological
+        order) would have.  Everything hub-visible inside worker
+        reports is deferred to the ordered pass in
+        :meth:`step_period`.
         """
         session = self._session
         reports: Dict[str, Dict] = {}
         for wave in self._wave_list:
-            dispatched = []
+            stepped = []
             for pe in wave:
                 rates, effective = self._ingress_schedule(pe)
-                self._installed_rate[pe.name] = (
-                    sum(rates.values()) if rates else None
-                )
-                session.submit_step(pe.name, k, rates)
-                dispatched.append((pe, effective))
-            for pe, effective in dispatched:
-                rep = session.collect_step(pe.name)
+                if session is None:
+                    reports[pe.name] = step_pe(
+                        self.runners[pe.name], k, rates
+                    )
+                else:
+                    session.submit_step(pe.name, k, rates)
+                stepped.append((pe, effective))
+            for pe, effective in stepped:
+                if session is not None:
+                    reports[pe.name] = session.collect_step(pe.name)
+                rep = reports[pe.name]
                 rep["effective"] = effective
-                self._emission[pe.name] = rep["observed"] * effective
-                reports[pe.name] = rep
+                self._emission[pe.name] = rep["true"] * effective
         return reports
 
-    def _absorb_report(self, pe: PeSubgraph, rep: Dict) -> None:
-        """Re-home one worker report into the parent's state: replay
-        decisions (the parent hub's clock assigns seq/period), merge
-        scoped metric states, install fresh memo cells, and mirror the
-        runner attributes other layers read."""
+    def _absorb_report(self, rep: Dict) -> None:
+        """Re-home one worker report into the parent: replay decisions
+        (the parent hub's clock assigns seq/period), merge scoped
+        metric states and install fresh memo cells."""
         for fields in rep["decisions"]:
             self._hub.decision(**fields)
         if rep["metrics"] and self._hub.enabled:
             self._hub.registry.merge_state(rep["metrics"])
         if rep["cache"]:
             cache.install(rep["cache"])
-        runner = self.runners[pe.name]
-        runner.threads = rep["threads"]
-        runner.placement = rep["placement"]
-        runner.last_result = rep["result"]
-        runner.sim_events = rep["sim_events"]
 
-    def _offered_utilization(self, pe_name: str, rep: Dict) -> float:
-        """Offered-load utilization of the PE's hot replica.
-
-        When the executor installed a derived ingress rate, the
-        admitted-over-installed ratio is authoritative (the engine's
-        own figure saturates at ~1.0 under ``block`` backpressure);
-        otherwise fall through to the engine's measurement.
-        """
-        installed = self._installed_rate[pe_name]
-        result = rep["result"]
-        util = result.offered_utilization
-        if installed is not None and installed > 0.0:
-            util = min(util, result.source_tuples_per_s / installed)
-        return min(1.0, util)
+    @property
+    def offered_utilization(self) -> float:
+        """The lowest offered-load utilization any PE reported in the
+        last period (1.0 before the first)."""
+        return min(
+            (rep["offered_utilization"] for rep in self._reports.values()),
+            default=1.0,
+        )
 
     def _total_threads(self) -> int:
         return sum(
-            self.runners[pe.name].threads * self.replicas[pe.name]
-            for pe in self.job.pes
+            rep["threads"] * self.replicas[name]
+            for name, rep in self._reports.items()
         )
 
     def _total_queues(self) -> int:
         return sum(
-            self.runners[pe.name].placement.n_queues
-            * self.replicas[pe.name]
-            for pe in self.job.pes
+            rep["n_queues"] * self.replicas[name]
+            for name, rep in self._reports.items()
         )
 
     @property
     def is_stable(self) -> bool:
         """All PE coordinators settled and the job loop held still."""
-        if len(self._pe_stable) < len(self.job.pes):
+        if len(self._reports) < len(self.job.pes):
             return False
-        return all(self._pe_stable.values()) and not getattr(
-            self, "_job_changed", False
-        )
+        settled = all(rep["stable"] for rep in self._reports.values())
+        return settled and not getattr(self, "_job_changed", False)
 
     def begin_run(self) -> None:
         """Reset per-run state, restore any warm replica counts and
         start the worker pool (or begin every PE runner in-process)."""
         super().begin_run()
         self._pe_results = None
-        self._pe_stable = {}
         self._job_recorded = False
+        self._reports = {}
         self._maybe_warm_replicas()
         self._session = self._start_session()
         if self._session is None:
+            self._wave_list = tuple((pe,) for pe in self.job.pes)
             for runner in self.runners.values():
                 runner.begin_run()
         else:

@@ -6,9 +6,9 @@ module owns everything that runs *inside* a
 :class:`~repro.runtime.pool.WorkerPool` worker.  The contract that
 makes parallel runs byte-identical to sequential ones:
 
-- **sticky state** — each worker builds its PEs'
-  :class:`~repro.des.adaptation.DesAdaptationRunner`s once (via the
-  same :func:`~repro.job.executor.build_pe_runner` the parent uses)
+- **sticky state** — each worker builds its PEs' runners (DES or
+  perfmodel) once (via the same
+  :func:`~repro.job.executor.build_pe_runner` the parent uses)
   and keeps them for the whole run, so simulator, coordinator and
   profiler state never pickle between periods.  PEs map to workers
   round-robin in topological order — a pure function of the job and
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..bench import cache
 from ..obs.decisions import Decision
 from ..obs.hub import NULL_HUB, ObservabilityHub
 from ..runtime.pool import WorkerPool
-from .executor import build_pe_runner, real_arrivals, step_pe
+from .executor import build_pe_runner, step_pe
 
 __all__ = ["JobWorkerSession"]
 
@@ -63,7 +63,6 @@ class _WorkerState:
     def __init__(self, hub) -> None:
         self.hub = hub
         self.runners: Dict[str, object] = {}
-        self.real: Dict[str, Tuple] = {}  # real_arrivals per PE
         self.decisions_seen = 0
         self.metric_baseline: Dict[str, dict] = {}
         self.shipped_cache_keys: set = set()
@@ -72,11 +71,10 @@ class _WorkerState:
 def _init_job_worker(
     worker_id: int,
     job,
+    backend,
     machine,
     config,
-    runner_kwargs,
-    arrivals_factory,
-    arrivals_key,
+    des_kwargs,
     warm_spec,
     detached: bool,
     n_workers: int,
@@ -86,21 +84,10 @@ def _init_job_worker(
     hub = NULL_HUB if detached else ObservabilityHub()
     state = _WorkerState(hub)
     for i, pe in enumerate(job.pes):
-        if i % n_workers != worker_id:
-            continue
-        state.real[pe.name] = real_arrivals(
-            job, arrivals_factory, arrivals_key, pe
-        )
-        state.runners[pe.name] = build_pe_runner(
-            machine,
-            config,
-            i,
-            pe,
-            runner_kwargs,
-            state.real[pe.name],
-            hub,
-            warm_spec,
-        )
+        if i % n_workers == worker_id:
+            state.runners[pe.name] = build_pe_runner(
+                job, i, backend, machine, config, des_kwargs, hub, warm_spec
+            )
     return state
 
 
@@ -136,8 +123,7 @@ def _step_pe(
 ) -> Dict:
     """One adaptation period for one PE (:func:`~repro.job.executor.
     step_pe`), plus everything the parent must re-home."""
-    runner = state.runners[pe_name]
-    report = step_pe(runner, pe_name, state.real[pe_name], k, rates)
+    report = step_pe(state.runners[pe_name], k, rates)
     if state.hub is NULL_HUB:
         decisions = []
         metrics: Dict[str, dict] = {}
@@ -158,8 +144,6 @@ def _step_pe(
         decisions=decisions,
         metrics=metrics,
         cache=_fresh_cache_entries(state),
-        placement=runner.placement,
-        sim_events=runner.sim_events,
     )
     return report
 
@@ -181,11 +165,10 @@ class JobWorkerSession:
     def __init__(
         self,
         job,
+        backend,
         machine,
         config,
-        runner_kwargs,
-        arrivals_factory,
-        arrivals_key,
+        des_kwargs,
         warm_spec,
         detached: bool,
         n_workers: int,
@@ -199,11 +182,10 @@ class JobWorkerSession:
             _init_job_worker,
             (
                 job,
+                backend,
                 machine,
                 config,
-                runner_kwargs,
-                arrivals_factory,
-                arrivals_key,
+                des_kwargs,
                 warm_spec,
                 detached,
                 n_workers,

@@ -32,9 +32,6 @@ _LAZY = {
     "PeReport": ("repro.runtime.introspect", "PeReport"),
     "RegionReport": ("repro.runtime.introspect", "RegionReport"),
     "inspect_pe": ("repro.runtime.introspect", "inspect"),
-    "Job": ("repro.runtime.job", "Job"),
-    "JobResult": ("repro.runtime.job", "JobResult"),
-    "PeStageResult": ("repro.runtime.job", "PeStageResult"),
     "SnapshotProfiler": ("repro.runtime.threads", "SnapshotProfiler"),
     "ThreadRegistry": ("repro.runtime.threads", "ThreadRegistry"),
 }
@@ -58,9 +55,6 @@ __all__ = [
     "PeReport",
     "RegionReport",
     "inspect_pe",
-    "Job",
-    "JobResult",
-    "PeStageResult",
     "SnapshotProfiler",
     "ThreadRegistry",
     "PlacementError",

@@ -49,7 +49,6 @@ from ..runtime.config import ElasticityConfig, RuntimeConfig
 from .arrivals import ArrivalProcess
 from .schema import (
     ArrivalKind,
-    Backend,
     CostKind,
     MachineName,
     NodeSpec,
@@ -307,18 +306,6 @@ def compile_config(scenario: Scenario, machine: MachineProfile) -> RuntimeConfig
     )
 
 
-def _cap_source_rates(graph: StreamGraph, rate: float) -> StreamGraph:
-    """Set every source's ``max_rate`` so the perfmodel backend caps
-    throughput at the offered load (``limiting_factor == "source_rate"``)."""
-    ops = [
-        dataclasses.replace(op, max_rate=rate) if op.is_source else op
-        for op in graph.operators
-    ]
-    return StreamGraph(
-        ops, graph.edges, tuple_spec=graph.tuple_spec, name=graph.name
-    )
-
-
 def compile_scenario(scenario: Scenario) -> CompiledScenario:
     """Compile a validated scenario into runnable objects.
 
@@ -338,7 +325,11 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
     if arrivals.kind is not ArrivalKind.SATURATED:
         seed = arrivals.seed if arrivals.seed is not None else scenario.run.seed
         process = ArrivalProcess(spec=arrivals, seed=seed)
-        graph = _cap_source_rates(graph, process.mean_rate())
+        # The perfmodel backend caps throughput at the offered load.
+        rate = process.mean_rate()
+        graph = graph.with_source_rates(
+            {op.index: rate for op in graph.sources}
+        )
 
     ch = scenario.channel
     channel = ChannelConfig(
@@ -354,14 +345,6 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
 
     job = None
     if scenario.pes:
-        # Multi-PE jobs execute on the tuple-level DES only: the
-        # perfmodel has no inter-PE channel model to route over.
-        if scenario.run.backend is not Backend.DES:
-            raise ScenarioError(
-                "run.backend",
-                "scenarios with a 'pes' block must set run.backend "
-                f"to 'des', got {scenario.run.backend.value!r}",
-            )
         from ..job.graph import JobGraphError, build_job_graph
 
         try:

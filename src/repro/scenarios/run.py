@@ -13,10 +13,10 @@ scenario through either substrate:
   when the workload is lighter than the machine.
 
 Scenarios with a ``pes:`` block are dispatched to the multi-PE job
-executor (:class:`~repro.job.executor.JobAdaptationRunner`, DES
-only).  Every substrate is an :class:`~repro.runtime.loop.ElasticLoop`
-built in one place, and :func:`make_backend` hands it back without
-running it.
+executor (:class:`~repro.job.executor.JobAdaptationRunner`), whose PEs
+run on the requested substrate.  Every substrate is an
+:class:`~repro.runtime.loop.ElasticLoop` built in one place, and
+:func:`make_backend` hands it back without running it.
 
 Both paths publish decisions through the same
 :class:`~repro.obs.ObservabilityHub`, so a scenario's R1–R5 decision
@@ -101,12 +101,35 @@ def _build(
     jobs: Optional[int],
     warm_start: Optional[str],
 ):
-    """The one constructor per substrate: the perfmodel executor for
-    ``Backend.PERFMODEL``, otherwise the job runner for multi-PE
-    scenarios and the DES runner for single-PE ones; the resolved
-    warm-start policy is installed when it is not ``off``."""
+    """The one constructor per substrate: the job runner (its PEs on
+    ``substrate``) for multi-PE scenarios, otherwise the perfmodel
+    executor for ``Backend.PERFMODEL`` and the DES runner for
+    ``Backend.DES``; the resolved warm-start policy is installed when
+    it is not ``off``."""
     run = compiled.scenario.run
-    if substrate is Backend.PERFMODEL:
+    des_kwargs = dict(
+        warmup_s=run.warmup_s,
+        measure_s=run.measure_s,
+        queue_capacity=run.queue_capacity,
+        profile_from_execution=run.profile_from_execution,
+        obs=obs,
+        arrivals_factory=compiled.arrivals_factory(),
+        arrivals_key=compiled.arrivals_key(),
+        overflow=compiled.overflow,
+        channel=compiled.channel,
+    )
+    if compiled.multi_pe:
+        from ..job.executor import JobAdaptationRunner
+
+        runner = JobAdaptationRunner(
+            compiled.job,
+            compiled.machine,
+            compiled.config,
+            jobs=jobs if jobs is not None else run.jobs,
+            backend=substrate,
+            **des_kwargs,
+        )
+    elif substrate is Backend.PERFMODEL:
         from ..runtime.executor import AdaptationExecutor
         from ..runtime.pe import ProcessingElement
 
@@ -117,36 +140,14 @@ def _build(
             obs=obs,
         )
     else:
-        des_kwargs = dict(
-            warmup_s=run.warmup_s,
-            measure_s=run.measure_s,
-            queue_capacity=run.queue_capacity,
-            profile_from_execution=run.profile_from_execution,
-            obs=obs,
-            arrivals_factory=compiled.arrivals_factory(),
-            arrivals_key=compiled.arrivals_key(),
-            overflow=compiled.overflow,
-            channel=compiled.channel,
+        from ..des.adaptation import DesAdaptationRunner
+
+        runner = DesAdaptationRunner(
+            compiled.graph,
+            compiled.machine,
+            compiled.config,
+            **des_kwargs,
         )
-        if compiled.multi_pe:
-            from ..job.executor import JobAdaptationRunner
-
-            runner = JobAdaptationRunner(
-                compiled.job,
-                compiled.machine,
-                compiled.config,
-                jobs=jobs if jobs is not None else run.jobs,
-                **des_kwargs,
-            )
-        else:
-            from ..des.adaptation import DesAdaptationRunner
-
-            runner = DesAdaptationRunner(
-                compiled.graph,
-                compiled.machine,
-                compiled.config,
-                **des_kwargs,
-            )
     spec = _warm_spec(compiled, warm_start)
     if spec is not None:
         runner.set_warm_start(spec)
@@ -162,12 +163,13 @@ def make_backend(
     """Construct the :class:`~repro.runtime.loop.ElasticLoop` a
     compiled scenario runs on, without running it.
 
-    Returns a DES runner for single-PE DES scenarios, a job runner
-    for multi-PE ones, and the perfmodel executor otherwise — all
-    driven by the same ``run(max_periods, stop_after_stable_periods)``.
+    Returns a job runner for multi-PE scenarios, and otherwise the
+    perfmodel executor or the DES runner per ``run.backend`` (``both``
+    builds the DES one) — all driven by the same
+    ``run(max_periods, stop_after_stable_periods)``.
     """
     substrate = compiled.scenario.run.backend
-    if substrate is not Backend.PERFMODEL or compiled.multi_pe:
+    if substrate is not Backend.PERFMODEL:
         substrate = Backend.DES
     return _build(compiled, substrate, obs, jobs, warm_start)
 
@@ -187,9 +189,7 @@ def run_on_des(
     ``warm_start`` overrides the scenario's ``run.warm_start``.
     """
     if compiled.multi_pe:
-        return run_on_job(
-            compiled, obs=obs, jobs=jobs, warm_start=warm_start
-        )
+        return run_on_job(compiled, Backend.DES, obs, jobs, warm_start)
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
     runner = _build(compiled, Backend.DES, hub, jobs, warm_start)
@@ -214,11 +214,14 @@ def run_on_des(
 
 def run_on_job(
     compiled: CompiledScenario,
+    backend: Backend = Backend.DES,
     obs: Optional[Obs] = None,
     jobs: Optional[int] = None,
     warm_start: Optional[str] = None,
 ) -> ScenarioRunResult:
-    """Run a multi-PE scenario through the job executor.
+    """Run a multi-PE scenario through the job executor, its PEs on
+    ``backend`` (the DES for ``max_periods``, the perfmodel for
+    ``duration_s``, as single-PE runs).
 
     ``decisions`` carries the *job-level* decision stream (scope
     ``"job"``); per-PE R1–R5 streams stay in the hub under their
@@ -233,9 +236,12 @@ def run_on_job(
         )
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    runner = _build(compiled, Backend.DES, hub, jobs, warm_start)
+    runner = _build(compiled, backend, hub, jobs, warm_start)
+    periods = run.max_periods
+    if backend is Backend.PERFMODEL:
+        periods = runner.periods_for(run.duration_s)
     result = runner.run(
-        max_periods=run.max_periods,
+        max_periods=periods,
         stop_after_stable_periods=run.stop_after_stable_periods,
     )
     job_decisions = tuple(
@@ -243,18 +249,15 @@ def run_on_job(
         for d in hub.decisions()
         if d.scope == "job"
     )
-    offered = min(
-        r.last_result.offered_utilization for r in runner.runners.values()
-    )
     return ScenarioRunResult(
         scenario=compiled.scenario.name,
-        backend="des",
+        backend=backend.value,
         periods=len(result.trace.observations),
         converged_throughput=result.converged_throughput,
         final_threads=result.final_threads,
         final_n_queues=result.final_n_queues,
         decisions=job_decisions,
-        offered_utilization=offered,
+        offered_utilization=runner.offered_utilization,
         dropped_tuples=_counter_value(hub, "des.dropped_tuples"),
         open_loop=compiled.open_loop,
         mean_arrival_rate=compiled.mean_arrival_rate,
@@ -266,9 +269,15 @@ def run_on_perfmodel(
     compiled: CompiledScenario,
     obs: Optional[Obs] = None,
     warm_start: Optional[str] = None,
+    jobs: Optional[int] = None,
 ) -> ScenarioRunResult:
     """Run the scenario's adaptation loop on the analytical model for
-    ``run.duration_s`` of simulated time."""
+    ``run.duration_s`` of simulated time; multi-PE scenarios go
+    through the job executor with ``jobs`` forwarded."""
+    if compiled.multi_pe:
+        return run_on_job(
+            compiled, Backend.PERFMODEL, obs, jobs, warm_start
+        )
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
     runner = _build(compiled, Backend.PERFMODEL, hub, None, warm_start)
@@ -324,6 +333,8 @@ def run_scenario(
         )
     if choice in (Backend.PERFMODEL, Backend.BOTH):
         results.append(
-            run_on_perfmodel(compiled, obs=obs, warm_start=warm_start)
+            run_on_perfmodel(
+                compiled, obs=obs, warm_start=warm_start, jobs=jobs
+            )
         )
     return tuple(results)

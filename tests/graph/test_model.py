@@ -250,6 +250,32 @@ class TestGraphMutation:
         assert chain10.total_cost_flops() == pytest.approx(10020.0)
 
 
+class TestCapSources:
+    """``with_source_rates``: the one source-rate capping helper."""
+
+    def _cap_all(self, graph, rate):
+        return graph.with_source_rates(
+            {op.index: rate for op in graph.sources}
+        )
+
+    def test_caps_applied_to_sources_only(self, chain10):
+        capped = self._cap_all(chain10, 1234.0)
+        assert capped.sources[0].max_rate == 1234.0
+        assert capped.by_name("op3").max_rate is None
+        with pytest.raises(ValueError, match="not a source"):
+            chain10.with_source_rates({chain10.by_name("op3").index: 1.0})
+
+    def test_none_removes_cap(self, chain10):
+        capped = self._cap_all(chain10, 99.0)
+        uncapped = self._cap_all(capped, None)
+        assert uncapped.sources[0].max_rate is None
+
+    def test_topology_preserved(self, chain10):
+        capped = self._cap_all(chain10, 5.0)
+        assert capped.edges == chain10.edges
+        assert len(capped) == len(chain10)
+
+
 class TestCachedInvariants:
     """The graph is immutable, so its invariants are computed once;
     callers must still never be able to corrupt them."""

@@ -14,6 +14,7 @@ a semantics switch instead of a performance switch.
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs.exporters import prometheus_text, write_jsonl
 from repro.obs.hub import ObservabilityHub
 from repro.runtime.pool import WorkerPoolError
 from repro.scenarios.compile import compile_scenario
+from repro.scenarios.schema import Backend
 from repro.scenarios.run import make_backend
 from repro.scenarios.zoo import load_named
 
@@ -32,12 +34,18 @@ ZOO_MULTI_PE = (
 )
 
 
-def _run(name, jobs, warm=False, warm_start=None):
+def _run(name, jobs, warm=False, warm_start=None, backend=None):
     """One full zoo run at the given pool width; cold cache unless
-    ``warm`` (memoization reuse is part of the regression surface)."""
+    ``warm`` (memoization reuse is part of the regression surface).
+    ``backend`` overrides the scenario's ``run.backend``."""
     if not warm:
         cache.clear()
-    compiled = compile_scenario(load_named(name))
+    scenario = load_named(name)
+    if backend is not None:
+        scenario = replace(
+            scenario, run=replace(scenario.run, backend=Backend(backend))
+        )
+    compiled = compile_scenario(scenario)
     hub = ObservabilityHub()
     runner = make_backend(
         compiled, obs=hub, jobs=jobs, warm_start=warm_start
@@ -74,6 +82,16 @@ class TestByteIdentity:
         # would make this test vacuous.
         assert par._pe_results is not None
         assert _signature(par_result, par_hub) == seq_sig
+
+    @pytest.mark.parametrize("name", ZOO_MULTI_PE)
+    def test_perfmodel_parallel_matches_sequential(self, name):
+        _seq, seq_result, seq_hub = _run(name, jobs=1, backend="perfmodel")
+        assert seq_hub.decisions()
+        par, par_result, par_hub = _run(name, jobs=2, backend="perfmodel")
+        assert par._pe_results is not None
+        assert _signature(par_result, par_hub) == _signature(
+            seq_result, seq_hub
+        )
 
     def test_parallel_run_on_warm_cache_matches(self):
         name = ZOO_MULTI_PE[0]

@@ -27,6 +27,7 @@ from repro.scenarios.schema import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.scenarios.zoo import load_named
 
 BASE = {
     "version": 1,
@@ -120,16 +121,17 @@ class TestCompile:
         assert compiled.multi_pe
         assert [pe.name for pe in compiled.job.pes] == ["a", "b"]
 
-    def test_pes_require_des_backend(self):
+    def test_pes_compile_on_every_backend(self):
         doc = with_pes(
             [
                 {"name": "a", "operators": ["src", "op0", "op1"]},
                 {"name": "b", "operators": ["op2", "op3", "snk"]},
             ]
         )
-        doc["run"] = dict(doc["run"], backend="perfmodel")
-        with pytest.raises(ScenarioError, match="backend"):
-            compile_scenario(scenario_from_dict(doc))
+        for backend in ("des", "perfmodel", "both"):
+            doc["run"] = dict(doc["run"], backend=backend)
+            compiled = compile_scenario(scenario_from_dict(doc))
+            assert [pe.name for pe in compiled.job.pes] == ["a", "b"]
 
     def test_incomplete_partition_is_a_scenario_error(self):
         doc = with_pes([{"name": "a", "operators": ["src"]}])
@@ -222,3 +224,26 @@ class TestRunDispatch:
         replicas = dict(result.pe_replicas)
         assert replicas["worker"] > 1
         assert any(r == "JOB-SCALE-OUT" for r, _t, _q in result.decisions)
+
+    def test_perfmodel_backend_runs_the_job(self):
+        """The ``pes:`` block is honoured on the perfmodel, not run
+        as one PE over the whole topology."""
+        compiled = compile_scenario(load_named("multi-pe-keyhash-scale"))
+        hub = ObservabilityHub()
+        (result,) = run_scenario(compiled, backend="perfmodel", obs=hub)
+        assert result.backend == "perfmodel"
+        replicas = dict(result.pe_replicas)
+        assert set(replicas) == {"ingest", "worker", "sinkpe"}
+        assert replicas["worker"] > 1
+        assert result.decisions[0][0] == "JOB-INIT"
+        assert any(r == "JOB-SCALE-OUT" for r, _t, _q in result.decisions)
+        for pe in compiled.job.pes:
+            assert _signatures(hub, f"pe.{pe.name}")
+
+    def test_both_backends_run_the_job(self):
+        cache.clear()
+        compiled = compile_scenario(load_named("multi-pe-keyhash-scale"))
+        des, perfmodel = run_scenario(compiled, backend="both")
+        assert (des.backend, perfmodel.backend) == ("des", "perfmodel")
+        for result in (des, perfmodel):
+            assert dict(result.pe_replicas)["worker"] > 1
