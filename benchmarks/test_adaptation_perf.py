@@ -32,9 +32,13 @@ from repro.bench.figures import fig07_des_adaptation
 
 MAX_PERIODS = 200
 
-# Floors are deliberately conservative (CI boxes vary); the reference
-# box measures ~7.5x wall speedup and ~350k executed events/s on the
-# "after" configuration.
+# Floors are deliberately conservative (CI boxes vary).  On a 2-core
+# VM, ten interleaved before/after pairs (CPU time) measured a median
+# speedup of 4.8x (range 3.9x to 6.7x) and 330k to 560k executed
+# events/s on the "after" configuration, so the wall-speedup floor
+# currently fails there: the fine-grained baseline runs mostly
+# through _region_work, which every per-event cut sped up as much as
+# the sampled path.
 MIN_WALL_SPEEDUP = 5.0
 MIN_EVENTS_PER_S = 50_000.0
 

@@ -158,11 +158,14 @@ class DesAdaptationRunner(ElasticLoop):
         return not self._open_loop or self._arrivals_key is not None
 
     def _measure_key(self, kind: str, profiled: bool) -> Tuple:
+        queued = tuple(sorted(self.placement.queued))
         key = (
             kind,
             cache.graph_fingerprint(self.graph),
-            tuple(sorted(self.placement.queued)),
-            self.threads,
+            queued,
+            # Without a scheduler queue the engine spawns no scheduler
+            # thread, so the thread count cannot change the outcome.
+            self.threads if queued else 0,
             cache.machine_fingerprint(self.machine),
             self.config.seed,
             self.warmup_s,

@@ -46,7 +46,10 @@ merged advances publish their analytic per-operator composition as a
 which the snapshot profiler resolves positionally — statistically
 equivalent to fine-grained per-operator events at a fraction of the
 cost.  ``attach_profiler(sampled=False)`` restores the fine-grained
-per-operator event granularity for cross-validation.
+per-operator event granularity for cross-validation.  Tuple-path
+metrics count into plain engine tallies that :meth:`DesEngine.run`
+folds into the registry once per run, and bursts enqueue and dequeue
+through the kernel's bulk queue operations.
 """
 
 from __future__ import annotations
@@ -316,9 +319,6 @@ class DesEngine:
                     f"arrivals key {idx} is not a source operator"
                 )
         self._busy_s: Dict[str, float] = {}
-        self._region_by_entry: Dict[int, Region] = {
-            r.entry: r for r in self.decomposition.regions
-        }
         self._plans: Dict[int, _RegionPlan] = {
             r.entry: self._build_plan(r)
             for r in self.decomposition.regions
@@ -335,9 +335,17 @@ class DesEngine:
         self._ff: Optional[FastForwarder] = None
         self._ff_queues: Tuple[SimQueue, ...] = ()
         self._ff_locks: Tuple[SimLock, ...] = ()
-        # Tuple-path metrics, bound once here; with no hub attached
-        # these are the shared null singletons (one no-op call per
-        # event), so detached runs measure identically.
+        # Tuple-path tallies: the hot paths count into these plain
+        # attributes (and the four window counts above), and run()
+        # folds them into the registry metrics below once per run.
+        self._n_pushes = 0
+        self._n_flushes = 0
+        self._n_idle = 0
+        self._n_wakeups = 0
+        self._n_helps = 0
+        self._n_parked = 0
+        # Metrics, bound once here; with no hub attached these are the
+        # shared null singletons, so detached runs measure identically.
         hub = ensure_hub(obs)
         self._hub = hub
         self._m_runs = hub.registry.counter(
@@ -551,7 +559,7 @@ class DesEngine:
 
     def _region_work(
         self,
-        region: Region,
+        plan: _RegionPlan,
         count_source: bool,
         thread_name: str = "?",
         pending: float = 0.0,
@@ -566,7 +574,6 @@ class DesEngine:
         the scheduler's pop synchronization cost) to merge it into the
         region's first timeout.
         """
-        plan = self._plans[region.entry]
         sim = self.sim
         busy_s = self._busy_s
         fine_grained = self.profiler is not None
@@ -598,10 +605,8 @@ class DesEngine:
                     pending = 0.0
             if sink_n:
                 self._sink_count += sink_n
-                self._m_sink.inc(sink_n)
         if count_source:
             self._source_count += 1.0
-            self._m_source.inc()
         if registry is not None:
             registry.set_current(thread_name, None)
         push_credit = self._push_credit
@@ -615,7 +620,7 @@ class DesEngine:
                 yield pending
                 pending = 0.0
                 if self.sim.put_nowait(queue, _TOKEN):
-                    self._m_pushes.inc()
+                    self._n_pushes += 1
                 else:
                     yield from self._push_with_help(
                         credit_key[1], queue, thread_name
@@ -643,27 +648,24 @@ class DesEngine:
         kernel handles a yielded request synchronously: no other process
         can run between our check and the corresponding Put.
         """
-        consumer = self._region_by_entry[queue_op]
         sim = self.sim
-        while queue.is_full:
-            port = self._region_locks[queue_op]
+        items = queue.items
+        plan = self._plans[queue_op]
+        port = self._region_locks[queue_op]
+        lock_s = self.machine.lock_uncontended_s
+        while len(items) >= queue.capacity:
             if not sim.acquire_nowait(port):
                 yield Acquire(port)
-            if queue.is_empty:
+            if not items:
                 # Another thread drained it while we waited.
                 sim.release_nowait(port)
                 break
             sim.pop_nowait(queue)
-            self._m_helps.inc()
-            yield from self._region_work(
-                consumer,
-                count_source=False,
-                thread_name=thread_name,
-                pending=self.machine.lock_uncontended_s,
-            )
+            self._n_helps += 1
+            yield from self._region_work(plan, False, thread_name, lock_s)
             sim.release_nowait(port)
-        self._m_pushes.inc()
-        if not self.sim.put_nowait(queue, _TOKEN):
+        self._n_pushes += 1
+        if not sim.put_nowait(queue, _TOKEN):
             yield Put(queue, _TOKEN)  # pragma: no cover - defensive
 
     def _source_thread(
@@ -735,11 +737,9 @@ class DesEngine:
                         sim.put_nowait(core_pool, _TOKEN)
                     yield wait
                 self._offered_count += 1.0
-                self._m_offered.inc()
                 if drop and ingress and any(q.is_full for q in ingress):
                     # Ingress shed: the arrival never enters the PE.
                     self._dropped_count += 1.0
-                    self._m_dropped.inc()
                     continue
             elif min_interval:
                 wait = next_emit - sim.now
@@ -781,12 +781,11 @@ class DesEngine:
                             break
                         b += 1
                         self._offered_count += 1.0
-                        self._m_offered.inc()
                 else:
                     b = 1 if single else min(plan.max_burst_src, slice_left)
                 slice_left -= b
                 dt = burst_src[b]
-                self._m_batch_flushes.inc()
+                self._n_flushes += 1
                 if publish is not None and prof_bounds is not None:
                     publish.set_interval(
                         name, sim.now, prof_bounds, prof_ops, b
@@ -796,9 +795,13 @@ class DesEngine:
                     queue, queue_op, _push_cost = push
                     busy_s[name] = busy_s.get(name, 0.0) + dt
                     yield dt
-                    for _ in range(b):
+                    # Bulk enqueue; a burst that fills the queue pushes
+                    # its remaining tuples one at a time.
+                    done = sim.put_many_nowait(queue, _TOKEN, b)
+                    self._n_pushes += done
+                    for _ in range(b - done):
                         if sim.put_nowait(queue, _TOKEN):
-                            self._m_pushes.inc()
+                            self._n_pushes += 1
                         else:
                             yield from self._push_with_help(
                                 queue_op, queue, name
@@ -808,15 +811,13 @@ class DesEngine:
                     yield dt
                 if plan.sink_total:
                     self._sink_count += plan.sink_total * b
-                    self._m_sink.inc(plan.sink_total * b)
                 for lk in plan.lock_acq:
                     lk.acquisitions += b
                 self._source_count += b
-                self._m_source.inc(b)
             else:
                 slice_left -= 1
                 yield from self._region_work(
-                    region, count_source=True, thread_name=name
+                    plan, count_source=True, thread_name=name
                 )
             if slice_left <= 0:
                 # As in _scheduler_thread: rotate the core only when
@@ -851,14 +852,13 @@ class DesEngine:
             if self.profiler is not None and fast_ok
             else None
         )
-        # Scan probes resolved once to (queue, port, region, plan)
+        # Scan probes resolved once to (queue, port, plan)
         # rows; the doubled list turns a rotated scan into straight
         # indexing with no per-probe dict lookups or modulo.
         slots = [
             (
                 queues[idx],
                 self._region_locks[idx],
-                self._region_by_entry[idx],
                 self._plans[idx],
             )
             for idx in order
@@ -891,7 +891,7 @@ class DesEngine:
                         break
                     executing_elsewhere = True
             if claim is None:
-                self._m_idle.inc()
+                self._n_idle += 1
                 # An idle thread surrenders the rest of its timeslice.
                 slice_left = 0
                 sim.put_nowait(core_pool, _TOKEN)
@@ -904,17 +904,17 @@ class DesEngine:
                     yield scan + _IDLE_BACKOFF_S
                 else:
                     # Every queue empty: park until the next push.
-                    self._m_parked.inc()
+                    self._n_parked += 1
                     yield park
-                    self._m_parked.dec()
-                    self._m_wakeups.inc()
+                    self._n_parked -= 1
+                    self._n_wakeups += 1
                 continue
             # The scan checked the port synchronously, so the claim
             # cannot fail and nothing has to yield: take port and
             # tuple immediately.  The scan's cost (charged as busy --
             # a scan that found work is work-finding, not starvation)
             # merges into the region's first time advance.
-            queue, port, region, plan = claim
+            queue, port, plan = claim
             sim.acquire_nowait(port)
             sim.pop_nowait(queue)
             if fast_ok and plan.fast:
@@ -934,11 +934,11 @@ class DesEngine:
                         k = plan.max_burst_sched
                     if k > slice_left:
                         k = slice_left
-                    for _ in range(k - 1):
-                        sim.pop_nowait(queue)
+                    if k > 1:
+                        sim.pop_many_nowait(queue, k - 1)
                     slice_left -= k
                     dt = plan.burst_sched[k]
-                    self._m_batch_flushes.inc()
+                    self._n_flushes += 1
                     if (
                         publish is not None
                         and plan.prof_bounds_sched is not None
@@ -955,9 +955,11 @@ class DesEngine:
                         pqueue, pqueue_op, _push_cost = push
                         busy_s[name] = busy_s.get(name, 0.0) + dt
                         yield dt
-                        for _ in range(k):
+                        done = sim.put_many_nowait(pqueue, _TOKEN, k)
+                        self._n_pushes += done
+                        for _ in range(k - done):
                             if sim.put_nowait(pqueue, _TOKEN):
-                                self._m_pushes.inc()
+                                self._n_pushes += 1
                             else:
                                 yield from self._push_with_help(
                                     pqueue_op, pqueue, name
@@ -967,7 +969,6 @@ class DesEngine:
                         yield dt
                     if plan.sink_total:
                         self._sink_count += plan.sink_total * k
-                        self._m_sink.inc(plan.sink_total * k)
                     for lk in plan.lock_acq:
                         lk.acquisitions += k
                     if (
@@ -981,7 +982,7 @@ class DesEngine:
             else:
                 slice_left -= 1
                 yield from self._region_work(
-                    region,
+                    plan,
                     count_source=False,
                     thread_name=name,
                     pending=scan + lock_s,
@@ -1152,10 +1153,6 @@ class DesEngine:
         d_source = scale * (after[1] - before[1])
         self._sink_count += d_sink
         self._source_count += d_source
-        if d_sink:
-            self._m_sink.inc(d_sink)
-        if d_source:
-            self._m_source.inc(d_source)
         d_put = np.rint(scale * (after[2] - before[2])).astype(np.int64)
         d_got = np.rint(scale * (after[3] - before[3])).astype(np.int64)
         d_acq = np.rint(scale * (after[4] - before[4])).astype(np.int64)
@@ -1166,8 +1163,7 @@ class DesEngine:
             q.total_got += int(dg)
             if q is not core_pool:
                 d_pushes += int(dp)
-        if d_pushes:
-            self._m_pushes.inc(d_pushes)
+        self._n_pushes += d_pushes
         for lk, da in zip(self._ff_locks, d_acq):
             lk.acquisitions += int(da)
         busy_s = self._busy_s
@@ -1180,10 +1176,6 @@ class DesEngine:
         d_dropped = scale * (after[7] - before[7])
         self._offered_count += d_offered
         self._dropped_count += d_dropped
-        if d_offered:
-            self._m_offered.inc(d_offered)
-        if d_dropped:
-            self._m_dropped.inc(d_dropped)
         self._m_ff_saved.inc(saved)
 
     def _ff_skip_arrivals(self, t: float) -> None:
@@ -1213,6 +1205,12 @@ class DesEngine:
         if not self._started:
             self.start()
         self._run_until(self.sim.now + warmup_s)
+        warm = (
+            self._sink_count,
+            self._source_count,
+            self._offered_count,
+            self._dropped_count,
+        )
         self._sink_count = 0.0
         self._source_count = 0.0
         self._offered_count = 0.0
@@ -1228,8 +1226,7 @@ class DesEngine:
             (name, min(1.0, t / window) if window else 0.0)
             for name, t in sorted(self._busy_s.items())
         )
-        self._m_runs.inc()
-        return DesResult(
+        result = DesResult(
             sink_tuples_per_s=self._sink_count / window if window else 0.0,
             source_tuples_per_s=(
                 self._source_count / window if window else 0.0
@@ -1245,6 +1242,38 @@ class DesEngine:
             dropped_tuples=self._dropped_count,
             open_loop=bool(self._arrivals),
         )
+        self._fold_counters(warm)
+        self._m_runs.inc()
+        return result
+
+    def _fold_counters(self, warm: Tuple[float, float, float, float]) -> None:
+        """Fold the run's tuple-path tallies into the registry, once.
+
+        ``warm`` holds the sink/source/offered/dropped counts of the
+        warmup, which :meth:`run` cleared before the measured window.
+        Every tally restarts at zero, so a later run folds only its
+        own events.
+        """
+        self._m_sink.inc(warm[0] + self._sink_count)
+        self._m_source.inc(warm[1] + self._source_count)
+        self._m_offered.inc(warm[2] + self._offered_count)
+        self._m_dropped.inc(warm[3] + self._dropped_count)
+        self._sink_count = 0.0
+        self._source_count = 0.0
+        self._offered_count = 0.0
+        self._dropped_count = 0.0
+        self._m_pushes.inc(self._n_pushes)
+        self._m_batch_flushes.inc(self._n_flushes)
+        self._m_idle.inc(self._n_idle)
+        self._m_wakeups.inc(self._n_wakeups)
+        self._m_helps.inc(self._n_helps)
+        self._m_parked.inc(self._n_parked)
+        self._n_pushes = 0
+        self._n_flushes = 0
+        self._n_idle = 0
+        self._n_wakeups = 0
+        self._n_helps = 0
+        self._n_parked = 0
 
 
 def measure_throughput(

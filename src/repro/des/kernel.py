@@ -25,6 +25,15 @@ scheduling a resumption allocates no closure, and dispatch in
 any request-object handling).  Hot process bodies should ``yield dt``
 rather than ``yield Timeout(dt)`` to skip the per-event dataclass
 allocation; both spellings have identical semantics.
+
+A timeout that lands strictly before every pending event, and within
+the horizon of the running :meth:`Simulator.run_until`, is the entry
+the heap would pop next, so :meth:`Simulator._advance` resumes the
+task directly instead of pushing and popping it (*inline
+self-resume*).  A tie with a pending event still goes through the
+heap, where the lower sequence number wins.  Inlined resumptions are
+dispatched events: they count in ``events_processed`` and appear in
+``Simulator.trace`` exactly as heap-dispatched ones do.
 """
 
 from __future__ import annotations
@@ -180,6 +189,13 @@ class Simulator:
         self._seq = itertools.count()
         self._tasks: List[_Task] = []
         self.events_processed = 0
+        # Horizon of the running run_until: a timeout landing at or
+        # before it (and before the heap's head) resumes inline.
+        # -inf outside run_until and under an event budget.
+        self._horizon = float("-inf")
+        # Inline resumptions since run_until last folded them into
+        # events_processed.
+        self._inlined = 0
         # Events elided by analytic fast-forwarding (whole steady
         # cycles applied as counter arithmetic instead of dispatch);
         # never included in events_processed.
@@ -241,12 +257,20 @@ class Simulator:
         advance = self._advance
         n = 0
         if max_events is None:
-            while heap and heap[0][0] <= t_end:
-                time, _seq, task, value = pop(heap)
-                self.now = time
-                advance(task, value)
-                n += 1
+            self._horizon = t_end
+            try:
+                while heap and heap[0][0] <= t_end:
+                    time, _seq, task, value = pop(heap)
+                    self.now = time
+                    advance(task, value)
+                    n += 1
+            finally:
+                self._horizon = float("-inf")
+                n += self._inlined
+                self._inlined = 0
         else:
+            # Budgeted strides dispatch through the heap only, so the
+            # budget counts every event exactly.
             while n < max_events and heap and heap[0][0] <= t_end:
                 time, _seq, task, value = pop(heap)
                 self.now = time
@@ -298,7 +322,8 @@ class Simulator:
         """
         item = queue.items.popleft()
         queue.total_got += 1
-        self._unblock_putter(queue)
+        if queue.putters:
+            self._unblock_putter(queue)
         return item
 
     def put_nowait(self, queue: SimQueue, item: Any) -> bool:
@@ -322,6 +347,44 @@ class Simulator:
                 self._wake_parked(queue)
             return True
         return False
+
+    def put_many_nowait(self, queue: SimQueue, item: Any, n: int) -> int:
+        """Deliver up to ``n`` copies of ``item`` without yielding.
+
+        Exactly ``n`` sequential :meth:`put_nowait` calls, stopped at
+        the first that would fail: hand-offs to waiting getters in
+        FIFO order, then appends into free capacity, each waking one
+        parked task.  Returns how many copies were delivered; fewer
+        than ``n`` means the queue is full.
+        """
+        done = 0
+        getters = queue.getters
+        while getters and done < n:
+            self._schedule_task(0.0, getters.popleft(), item)
+            done += 1
+        queue.total_got += done
+        k = min(n - done, queue.capacity - len(queue.items))
+        if k > 0:
+            queue.items.extend(itertools.repeat(item, k))
+            done += k
+            parked = queue.parked
+            for _ in range(min(k, len(parked))):
+                self._wake_parked(queue)
+        queue.total_put += done
+        return done
+
+    def pop_many_nowait(self, queue: SimQueue, n: int) -> None:
+        """Pop ``n`` items the caller *knows* are present, discarding
+        them: exactly ``n`` sequential :meth:`pop_nowait` calls, each
+        unblocking one putter while any is waiting."""
+        if queue.putters:
+            for _ in range(n):
+                self.pop_nowait(queue)
+            return
+        popleft = queue.items.popleft
+        for _ in range(n):
+            popleft()
+        queue.total_got += n
 
     def acquire_nowait(self, lock: SimLock) -> bool:
         """Take ``lock`` for the currently running task if it is free.
@@ -369,6 +432,11 @@ class Simulator:
         this task (a getter handed an item, a lock passed to a waiter)
         still go through the heap, preserving FIFO fairness and
         deterministic ordering.
+
+        A timeout is elided the same way when it lands strictly before
+        the heap's head and within the ``run_until`` horizon: that
+        entry would be popped next, so the task resumes at its due
+        time here (counted in ``_inlined``).
         """
         if not task.alive:
             return
@@ -379,6 +447,7 @@ class Simulator:
         push = heapq.heappush
         send = task.process.send
         trace = self.trace
+        horizon = self._horizon
         while True:
             try:
                 request = send(value)
@@ -389,19 +458,23 @@ class Simulator:
                 return
             cls = request.__class__
             # Hot path: bare numeric timeout — no request object at all.
-            if cls is float or cls is int:
-                if request < 0:
+            if cls is float or cls is int or cls is Timeout:
+                if cls is Timeout:
+                    request = request.delay
+                elif request < 0:
                     raise ValueError(
                         f"negative timeout {request} from {task.name}"
                     )
-                push(heap, (now + request, next(seq), task, None))
                 if trace is not None:
                     trace.append((task.idx, _SIG_TIMEOUT, request))
-                return
-            if cls is Timeout:
-                push(heap, (now + request.delay, next(seq), task, None))
-                if trace is not None:
-                    trace.append((task.idx, _SIG_TIMEOUT, request.delay))
+                t = now + request
+                if t <= horizon and (not heap or t < heap[0][0]):
+                    # Inline self-resume: this is the next event.
+                    self.now = now = t
+                    self._inlined += 1
+                    value = None
+                    continue
+                push(heap, (t, next(seq), task, None))
                 return
             if cls is Get:
                 queue = request.queue

@@ -17,7 +17,15 @@ change:
 - the same digest over four open-loop zoo scenarios (ON/OFF bursts
   under ``drop`` and ``block``, a flash crowd, a diurnal Poisson
   envelope), each at its own period count, so the scheduled source
-  path is pinned too.
+  path is pinned too;
+- every other DES zoo scenario, single- and multi-PE, at a three-period
+  horizon: every field of every decision record (job and per-PE
+  records alike).
+
+Every run also pins the ``des.dropped_tuples`` count its hub recorded,
+summed over PE scopes, so a change to what the measurement memo replays
+cannot silently change the reported drops, and a coverage test keeps
+every DES zoo file pinned.
 
 The digest is blake2b over ``Decision.to_dict()`` as JSON with sorted
 keys, one record per line — the method of
@@ -42,7 +50,12 @@ from repro.perfmodel.machine import laptop
 from repro.runtime.config import RuntimeConfig
 from repro.scenarios import compile_scenario, load_scenario
 from repro.scenarios.run import run_on_des
-from repro.scenarios.schema import PartitionSpec, PartitionStrategy, PeSpec
+from repro.scenarios.schema import (
+    Backend,
+    PartitionSpec,
+    PartitionStrategy,
+    PeSpec,
+)
 
 ZOO = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "scenarios"
@@ -67,6 +80,26 @@ DES_DIGESTS = {
     "flash-crowd-spike": (12, "b70a11ef688549bfbccbfd27661aa106"),
     "diurnal-poisson": (10, "944068ef34e0efb7d0680057320846ad"),
 }
+# The rest of the DES zoo at ZOO_PERIODS: scenario -> full digest.
+ZOO_PERIODS = 3
+ZOO_DIGESTS = {
+    "custom-asymmetric": "e87f75af0cecd11b64428d7dd02096c8",
+    "data-parallel-fan": "6167a3fa7b1c5fbb55052a615a9e08ba",
+    "diamond-branches": "fb02a91d73b28f228a8b5ea2c62028d9",
+    "fig07-2pe-passthrough": "13cf89f104513ef4a8e50c198df3f841",
+    "mixed-grid": "c27071207545e9e0e93eec3a6191f1c5",
+    "multi-pe-keyhash-scale": "9692503cefdfb6676a76c27f0b0a5fc3",
+    "multi-pe-sink-contention": "a02212722c57939cd9cc022a48ab2a2b",
+    "onoff-burst-batched": "42902a1174436da36a260f35fba8ded8",
+    "payload-16k-pipeline": "e4752e9fb7385d3039e1136d3ab1013c",
+    "payload-mix": "d2f52cbca64506012f78b7f5b2399e4b",
+    "payload-mix-batched": "991a22541ab8f4aa5271697abd77ae18",
+    "pipeline-smoke": "9be7e8adb3e09c2685c281acf26e3c2b",
+    "poisson-underload": "ec3c0dd466acb3ebd8098048dfd96fca",
+    "ramp-step-up": "94406d390ab082559d40c823e00c61f3",
+}
+# Dropped tuples at the horizons above; every other run drops none.
+DROPPED = {"onoff-burst-overflow": 120828.0}
 
 
 def _digest(decisions, drop=()) -> str:
@@ -78,6 +111,27 @@ def _digest(decisions, drop=()) -> str:
         h.update(json.dumps(record, sort_keys=True, default=repr).encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _dropped(hub) -> float:
+    return sum(
+        m.value
+        for m in hub.registry
+        if m.name.endswith("des.dropped_tuples")
+    )
+
+
+def _run_zoo(name, periods, jobs=None):
+    scenario = load_scenario(os.path.join(ZOO, f"{name}.yaml"))
+    scenario = replace(
+        scenario, run=replace(scenario.run, max_periods=periods)
+    )
+    compiled = compile_scenario(scenario)
+    cache.clear()
+    hub = ObservabilityHub()
+    result = run_on_des(compiled, obs=hub, jobs=jobs)
+    cache.clear()
+    return compiled, result, hub
 
 
 def _sweep_job():
@@ -119,21 +173,31 @@ def test_job_replica_sweep_log_is_unchanged(jobs):
 @pytest.mark.parametrize("name", sorted(DES_DIGESTS))
 def test_des_decision_content_is_unchanged(name):
     periods, digest = DES_DIGESTS[name]
-    scenario = load_scenario(os.path.join(ZOO, f"{name}.yaml"))
-    scenario = replace(
-        scenario, run=replace(scenario.run, max_periods=periods)
-    )
-    compiled = compile_scenario(scenario)
-    cache.clear()
-    hub = ObservabilityHub()
-    result = run_on_des(compiled, obs=hub)
-    cache.clear()
+    compiled, result, hub = _run_zoo(name, periods)
     decisions = hub.decisions()
     assert result.periods == periods
     assert len(decisions) == periods
     assert _digest(decisions, drop=("seq", "period", "time_s")) == digest
+    assert _dropped(hub) == DROPPED.get(name, 0.0)
     period_s = compiled.config.elasticity.adaptation_period_s
     assert [d.period for d in decisions] == list(range(periods))
     assert [d.time_s for d in decisions] == [
         k * period_s for k in range(1, periods + 1)
     ]
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_DIGESTS))
+def test_zoo_decision_log_is_unchanged(name):
+    _compiled, result, hub = _run_zoo(name, ZOO_PERIODS, jobs=1)
+    assert result.periods == ZOO_PERIODS
+    assert _digest(hub.decisions()) == ZOO_DIGESTS[name]
+    assert _dropped(hub) == DROPPED.get(name, 0.0)
+
+
+def test_every_des_zoo_scenario_is_pinned():
+    des = set()
+    for entry in os.listdir(ZOO):
+        scenario = load_scenario(os.path.join(ZOO, entry))
+        if scenario.run.backend is not Backend.PERFMODEL:
+            des.add(os.path.splitext(entry)[0])
+    assert des == set(DES_DIGESTS) | set(ZOO_DIGESTS)
